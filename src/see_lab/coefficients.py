@@ -94,14 +94,23 @@ class BilinearForm:
                       entries (i, j, k, c) with j < k; antisymmetry in the
                       last two slots is exact by construction
       nse_convective  spectral convection tensor of the 2D periodic
-                      divergence-free instance (assembled in see_lab.nse)
+                      divergence-free instance (assembled in see_lab.nse),
+                      stored as sparse triples (ii, jj, kk, vals) with
+                      B(u,v)_k = Σ vals · u_ii v_jj over the triples with kk = k
+
+    B is contracted over a pair list (a, b, C): the distinct index pairs
+    (a[p], b[p]) of the triples and an (M, n_pairs) CSR matrix C with
+    B(u,v) = C (u_a ⊙ v_b).  Each row of C sums its nonzeros in stored order,
+    so a row's result does not depend on the batch it sits in.  B(u,u), the
+    only call the stepper makes, uses the folded list: (i, j) and (j, i) are
+    merged into one i ≤ j pair, which about halves the work.
     """
 
     kind: str
     entries: tuple = ()  # skew_shear: ((i, j, k, c), ...)
-    # nse_convective: sparse triple list and a dense (M*M, M) contraction matrix
-    nse_idx: tuple | None = None  # (ii, jj, kk, vals) arrays
-    nse_mat: np.ndarray | None = None
+    nse_idx: tuple | None = None  # nse_convective: (ii, jj, kk, vals) arrays
+    nse_pairs: tuple | None = None  # (a, b, C) over the distinct (i, j) pairs
+    nse_folded: tuple | None = None  # (a, b, C) over the i <= j pairs, for B(u,u)
     dim: int = 0
 
     def trilinear_batch(self, u, v, w) -> np.ndarray:
@@ -129,10 +138,19 @@ class BilinearForm:
                 out[:, j] -= uv * v[:, k]
             return out
         if self.kind == "nse_convective":
-            p, m = u.shape
-            pair = (u[:, :, None] * v[:, None, :]).reshape(p, m * m)
-            return pair @ self.nse_mat
+            if v is u:
+                return _pair_contract(self.nse_folded, u, u)
+            return _pair_contract(self.nse_pairs, u, v)
         raise ValidationError(f"unknown bilinear kind {self.kind!r}")
+
+
+def _pair_contract(pairs, u, v) -> np.ndarray:
+    """(P, M) rows of C (u_a ⊙ v_b) for the pair list (a, b, C)."""
+    a, b, mat = pairs
+    ut = np.ascontiguousarray(u.T)
+    q = ut[a]  # (n_pairs, P)
+    q *= ut[b] if v is u else np.ascontiguousarray(v.T)[b]
+    return np.ascontiguousarray((mat @ q).T)
 
 
 def zero_form() -> BilinearForm:

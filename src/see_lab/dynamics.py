@@ -166,6 +166,17 @@ def _apply_ball(x_tilde, cfg):
     return x_tilde * rho[:, None], rho, r
 
 
+def _check_finite(model, x_new, r, path_indices, step, dt):
+    """Raise DivergedError for the first row with a nonfinite state or
+    pre-constraint norm r = |X̃|_H."""
+    bad_rows = ~(np.isfinite(x_new).all(axis=1) & np.isfinite(r))
+    if bad_rows.any():
+        bad = int(np.nonzero(bad_rows)[0][0])
+        raise DivergedError(
+            int(path_indices[bad]), step, step * dt, float(r[bad]), model.model_id
+        )
+
+
 def run_paths(
     model: ModelSpec,
     cfg: StepperConfig,
@@ -249,10 +260,7 @@ def run_paths(
         x_tilde = (x + dt * explicit_drift(x) + diag_x * dw) * inv1p
         with np.errstate(over="ignore", invalid="ignore"):
             x_new, rho_x, r_x = _apply_ball(x_tilde, cfg)
-        bad_rows = ~(np.isfinite(x_new).all(axis=1) & np.isfinite(r_x))
-        if bad_rows.any():
-            bad = int(np.nonzero(bad_rows)[0][0])
-            raise DivergedError(int(path_indices[bad]), k + 1, (k + 1) * dt)
+        _check_finite(model, x_new, r_x, path_indices, k + 1, dt)
 
         if coupled:
             dy = explicit_drift(y)
@@ -261,10 +269,7 @@ def run_paths(
             y_tilde = (y + dt * dy + diag_y * dw) * inv1p
             with np.errstate(over="ignore", invalid="ignore"):
                 y_new, rho_y, r_y = _apply_ball(y_tilde, cfg)
-            bad_rows = ~(np.isfinite(y_new).all(axis=1) & np.isfinite(r_y))
-            if bad_rows.any():
-                bad = int(np.nonzero(bad_rows)[0][0])
-                raise DivergedError(int(path_indices[bad]), k + 1, (k + 1) * dt)
+            _check_finite(model, y_new, r_y, path_indices, k + 1, dt)
 
         # refresh state-dependent quantities and integrals at t_{k+1}
         diag_x = model.noise.diag_batch(x_new)

@@ -12,6 +12,13 @@ The convection form b(u,v,z) = ∫ (u·∇)v · z dξ is assembled as a sparse
 interaction tensor from the analytic integrals of trig triple products
 (resonant wave-vector triples only); no FFT is involved, so evaluations are
 exact up to rounding at desk-scale κ.
+
+B(u,v) is evaluated as a sparse contraction of fixed order: the products
+u_a v_b over a list of index pairs, then one CSR matrix of shape
+(M, n_pairs) that sums each output coefficient's terms in stored order.
+The result of a row is therefore bit-identical for any batch split.  B(u,u)
+uses a folded list, where the (i, j) and (j, i) terms share one i ≤ j pair
+(896 pairs instead of 2224 triples at κ = 4).
 """
 
 from __future__ import annotations
@@ -106,7 +113,10 @@ def _triple_integral(t1, k1, t2, k2, t3, k3) -> float:
 
 
 def _assemble_convection(grid: FourierGrid) -> BilinearForm:
-    """Sparse tensor T[α,β,γ] = ∫ (ψ_α·∇)ψ_β · ψ_γ, antisymmetrized in (β,γ)."""
+    """Sparse tensor T[α,β,γ] = ∫ (ψ_α·∇)ψ_β · ψ_γ, antisymmetrized in (β,γ),
+    with its two pair lists (see BilinearForm)."""
+    from scipy.sparse import csr_array  # imported here: only NSE set-up pays for it
+
     modes = grid.modes
     m = grid.dim
     by_vector: dict[tuple[int, int], list[int]] = {}
@@ -160,10 +170,23 @@ def _assemble_convection(grid: FourierGrid) -> BilinearForm:
     kk = np.asarray(kk, dtype=np.int64)
     vals = np.asarray(vals, dtype=float)
 
-    mat = np.zeros((m * m, m))
-    np.add.at(mat, (ii * m + jj, kk), vals)
+    def pair_list(a, b):
+        # sum the triples that share (a, b, kk): at most two, and a two-term
+        # float sum is the same in either order; drop sums that cancel to zero
+        key3, inv = np.unique((a * m + b) * m + kk, return_inverse=True)
+        coef = np.zeros(key3.size)
+        np.add.at(coef, inv, vals)
+        key3, coef = key3[coef != 0.0], coef[coef != 0.0]
+        pairs, col = np.unique(key3 // m, return_inverse=True)
+        mat = csr_array((coef, (key3 % m, col)), shape=(m, pairs.size))
+        return pairs // m, pairs % m, mat
+
     return BilinearForm(
-        kind="nse_convective", nse_idx=(ii, jj, kk, vals), nse_mat=mat, dim=m
+        kind="nse_convective",
+        nse_idx=(ii, jj, kk, vals),
+        nse_pairs=pair_list(ii, jj),
+        nse_folded=pair_list(np.minimum(ii, jj), np.maximum(ii, jj)),
+        dim=m,
     )
 
 

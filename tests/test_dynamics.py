@@ -3,6 +3,7 @@ import pytest
 
 from see_lab.coefficients import (
     affine_drift,
+    benchmark_model,
     boundary_active_model,
     build_model,
     default_model,
@@ -180,21 +181,68 @@ def test_simulate_path_rejects_outside_start():
         simulate_path(model, np.array([2.0, 0, 0, 0]), 0.1, StepperConfig(), seed=0)
 
 
+def _builtin_cases():
+    """(name, model, x0) for every built-in model kind, each started at a
+    random point of |x|_H = 0.9 so every mode of the drift and of the
+    bilinear term acts from the first step.  NSE comes at κ = 2 and κ = 3:
+    a batch-shape-dependent summation order shows in coupled rows from
+    κ = 3 on."""
+    from see_lab.nse import build_nse_model
+
+    rng = np.random.default_rng(3)
+    cases = []
+    for name, model in (
+        ("default", default_model(m=8, n=3)),
+        ("benchmark", benchmark_model(m=8)),
+        ("boundary_active", boundary_active_model(m=8)),
+        ("nse_kappa2", build_nse_model(kappa=2, gamma=0.25, sigma0=1.0).spec),
+        ("nse_kappa3", build_nse_model(kappa=3, gamma=0.25, sigma0=1.0).spec),
+    ):
+        x0 = rng.standard_normal(model.dim)
+        cases.append((name, model, 0.9 * x0 / h_norm_arr(x0)))
+    return cases
+
+
 def test_simulate_path_batch_row_equals_single():
-    # a path is bit-identical whether simulated alone or inside a batch
+    # a path is bit-identical whether simulated alone or inside a batch, for
+    # every built-in model kind and both ball-constraint schemes
     from see_lab.dynamics import TrajectoryRecorder, run_paths
 
-    model = default_model(m=8, n=3)
-    cfg = StepperConfig(dt=1e-3)
-    x0 = np.zeros(8)
-    x0[0] = 0.9
-    batch = TrajectoryRecorder()
-    rows = np.repeat(x0[None, :], 5, axis=0)
-    run_paths(model, cfg, rows, 200, 77, np.arange(5), recorders=[batch])
-    for idx in (0, 3, 4):
-        single = simulate_path(model, x0, 0.2, cfg, seed=77, path_index=idx)
-        assert np.array_equal(single.states, batch.states[idx])
-        assert np.array_equal(single.ledger.increments, batch.increments[idx])
+    for name, model, x0 in _builtin_cases():
+        for scheme in ("projected", "penalized"):
+            cfg = StepperConfig(dt=1e-3, scheme=scheme)
+            batch = TrajectoryRecorder()
+            rows = np.repeat(x0[None, :], 5, axis=0)
+            run_paths(model, cfg, rows, 200, 77, np.arange(5), recorders=[batch])
+            for idx in (0, 3, 4):
+                single = simulate_path(model, x0, 0.2, cfg, seed=77, path_index=idx)
+                assert np.array_equal(single.states, batch.states[idx]), (name, scheme)
+                assert np.array_equal(
+                    single.ledger.increments, batch.increments[idx]
+                ), (name, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["projected", "penalized"])
+def test_coupled_rows_independent_of_batch(scheme):
+    # 7 coupled pairs stepped alone equal the same rows of a 64-pair batch
+    from see_lab.dynamics import TrajectoryRecorder, run_paths
+
+    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    rng = np.random.default_rng(11)
+    picks = np.array([0, 5, 13, 31, 32, 47, 63])
+    for name, model, x0 in _builtin_cases():
+        xs = np.repeat(x0[None, :], 64, axis=0)
+        ys = rng.standard_normal((64, model.dim))
+        ys *= rng.uniform(0.0, 1.0, (64, 1)) / h_norm_arr(ys)[:, None]
+        runs = []
+        for sel in (np.arange(64), picks):
+            recs = [TrajectoryRecorder("x"), TrajectoryRecorder("y")]
+            run_paths(model, cfg, xs[sel], 200, 5, sel, recorders=recs, y0=ys[sel])
+            runs.append(recs)
+        (big_x, big_y), (small_x, small_y) = runs
+        for small, big in ((small_x, big_x), (small_y, big_y)):
+            assert np.array_equal(small.states, big.states[picks]), name
+            assert np.array_equal(small.increments, big.increments[picks]), name
 
 
 def test_zero_noise_decay_bound():
@@ -215,6 +263,29 @@ def test_divergence_aborts_with_diagnostic():
     with pytest.raises(DivergedError) as err:
         simulate_path(model, np.array([0.5, 0, 0, 0]), 0.01, StepperConfig(dt=1e-3), seed=5)
     assert err.value.path_index == 0
+
+
+def test_divergence_reports_norm_and_model_id():
+    # boundary_active's components with the outward drift scaled until the
+    # pre-constraint state overflows in the first step
+    base = boundary_active_model(m=8)
+    model = build_model(
+        basis=base.basis,
+        drift=affine_drift(np.zeros(8), 1e300),
+        bilinear=base.bilinear,
+        noise=base.noise,
+        lipschitz_c1=base.lipschitz_c1,
+        coupling_n=base.coupling_n,
+    )
+    x0 = np.zeros(8)
+    x0[0] = 1.0
+    with pytest.raises(DivergedError) as err:
+        simulate_path(model, x0, 0.01, StepperConfig(dt=1e-3), seed=5, path_index=4)
+    e = err.value
+    assert (e.path_index, e.step, e.model_id) == (4, 1, model.model_id)
+    assert e.model_id != base.model_id
+    assert e.h_norm == np.inf
+    assert f"model_id={model.model_id}" in str(e) and "|X~|_H=inf" in str(e)
 
 
 # obstacle inequality ---------------------------------------------------

@@ -1,0 +1,73 @@
+"""Golden SHA-256 digests of the noise stream and of one trajectory per
+built-in model kind.
+
+A change that keeps results bit-identical leaves every digest here as it is.
+A change that moves any bit of a pinned output must update its digest and
+say in CHANGES.md why the output moved.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from see_lab.coefficients import benchmark_model, boundary_active_model, default_model
+from see_lab.dynamics import StepperConfig, simulate_path
+from see_lab.nse import build_nse_model
+from see_lab.rng import gaussian_block
+
+GAUSSIAN_BLOCK_SHA256 = "18c855453aff76b74fae8dbb3888d2700a0fca098656e2595a62c659bc927d51"
+
+TRAJECTORY_SHA256 = {
+    "default": "791aef68be4c851408aaed65c5692d1c37351f7345c7ee9b5b37b88f29ce76eb",
+    "benchmark": "afffe09fa50c1d9ed28389f3c53e67b10a058adf316956151956dc30837166a6",
+    "boundary_active": "149bca8261e1a3580be95b07af5bc1188c33341507f75d04b9fde3b150f0fc21",
+    "nse_kappa2": "5ba72b913395929a63bc96517cb2dc921c735c4ada44ecff805cd3c977545c01",
+}
+
+
+def _sha256(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _spread_start(m: int, radius: float) -> np.ndarray:
+    # every mode active, so each coefficient of the drift and of B(X, X) shows
+    v = 1.0 / np.arange(1, m + 1, dtype=float)
+    return radius * v / np.sqrt((v * v).sum())
+
+
+def _golden_case(name):
+    if name == "default":
+        model = default_model()
+    elif name == "benchmark":
+        model = benchmark_model()
+    elif name == "boundary_active":
+        model = boundary_active_model()
+    else:
+        model = build_nse_model(kappa=2, gamma=0.25, sigma0=0.2).spec
+    if name == "boundary_active":
+        # start on the sphere, where the outward drift keeps the reflection busy
+        x0 = np.zeros(model.dim)
+        x0[0] = 1.0
+        return model, x0
+    return model, _spread_start(model.dim, 0.8)
+
+
+def test_gaussian_block_stream_digest():
+    blocks = [
+        gaussian_block(seed, path, step, 64, 16, 1e-3)
+        for seed, path, step in ((0, 0, 0), (2024, 7, 1000), (2**40 + 3, 123456, 5))
+    ]
+    assert _sha256(*blocks) == GAUSSIAN_BLOCK_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_SHA256))
+def test_trajectory_digest(name):
+    model, x0 = _golden_case(name)
+    path = simulate_path(model, x0, 0.2, StepperConfig(dt=1e-3), seed=77, path_index=3)
+    assert path.states.shape == (201, model.dim)
+    digest = _sha256(path.states, path.ledger.increments)
+    assert digest == TRAJECTORY_SHA256[name]

@@ -134,6 +134,50 @@ def test_trilinear_matches_quadrature_oracle():
         assert spec_val == pytest.approx(quad, rel=1e-8, abs=1e-10)
 
 
+def _dense_convection(form, u, v):
+    """Reference B(u, v): the (P, M^2) @ (M^2, M) contraction against the
+    dense tensor rebuilt from the triples, plus the same contraction of the
+    absolute terms, which scales the rounding error of any summation order."""
+    ii, jj, kk, vals = form.nse_idx
+    m = form.dim
+    mat = np.zeros((m * m, m))
+    np.add.at(mat, (ii * m + jj, kk), vals)
+    p = u.shape[0]
+    pair = (u[:, :, None] * v[:, None, :]).reshape(p, m * m)
+    return pair @ mat, np.abs(pair) @ np.abs(mat)
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+def test_sparse_convection_matches_dense_reference(kappa):
+    form = build_nse_model(kappa=kappa, gamma=1.0).spec.bilinear
+    rng = np.random.default_rng(10 + kappa)
+    u = rng.standard_normal((200, form.dim))
+    v = rng.standard_normal((200, form.dim))
+    for a, b in ((u, u), (u, u.copy()), (u, v)):
+        out = form.bilinear_batch(a, b)  # a is b: the folded i <= j pair list
+        ref, terms = _dense_convection(form, a, b)
+        assert out.shape == ref.shape and out.flags.c_contiguous
+        assert np.all(np.abs(out - ref) <= 1e-14 * terms)
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3])
+def test_sparse_convection_rows_independent_of_batch(kappa):
+    form = build_nse_model(kappa=kappa, gamma=1.0).spec.bilinear
+    rng = np.random.default_rng(20 + kappa)
+    u = rng.standard_normal((200, form.dim))
+    full_folded = form.bilinear_batch(u, u)
+    full_pairs = form.bilinear_batch(u, u.copy())
+    for p in (1, 7, 200):
+        for start in (0, 200 - p):
+            rows = u[start : start + p]
+            assert np.array_equal(
+                form.bilinear_batch(rows, rows), full_folded[start : start + p]
+            )
+            assert np.array_equal(
+                form.bilinear_batch(rows, rows.copy()), full_pairs[start : start + p]
+            )
+
+
 def test_form_bounds_nse_convective():
     model = build_nse_model(kappa=2, gamma=1.0)
     rep = check_form_bounds(model.spec, samples=1000, seed=5)
