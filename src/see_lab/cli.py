@@ -5,10 +5,11 @@
 
 Subcommands: simulate, couple, verify-model, ergodicity, nse, convergence.
 All outputs land under --out together with a manifest.txt; the process exits
-0 iff every verdict of the requested experiment passed.  Reruns with the
-same effective config produce byte-identical result files for any worker
-count: path results depend only on (seed, path_index), and the coordinator
-writes all files in a fixed order.
+0 iff every verdict of the requested experiment passed.  Each experiment
+steps its paths as one batch, so --workers is accepted and has no effect.
+Reruns with the same effective config produce byte-identical result files:
+path results depend only on (seed, path_index), and files are written in a
+fixed order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,58 +32,16 @@ from .config import (
     stepper_from_config,
 )
 from .coefficients import check_antisymmetry, check_form_bounds, lipschitz_probe
-from .coupling import dump_coupled_csv, shift_bound_constant, simulate_coupled
+from .coupling import dump_coupled_csv, shift_bound_constant, simulate_coupled_paths
 from .dynamics import (
     BallRecorder,
-    LocalTimeLedger,
-    PathSample,
-    TrajectoryRecorder,
     dump_path_csv,
-    n_steps_for,
     penalization_convergence_study,
-    run_paths,
+    simulate_paths,
 )
 from .ergodicity import Verdict, run_ergodicity_battery, save_battery_outputs
 from .errors import ConfigError, SeeLabError
 from .spectral import h_norm_arr, validate_h1
-
-
-def parallel_map(fn, items, workers: int | None = None):
-    """Map fn over items, returning results in input order.
-
-    Worker count never changes the results; a worker crash is re-raised with
-    the failing item index attached.
-    """
-    items = list(items)
-    if workers is None:
-        workers = int(os.environ.get("SEE_LAB_WORKERS", "1"))
-    workers = max(1, min(workers, max(len(items), 1)))
-    if workers == 1 or len(items) <= 1:
-        out = []
-        for i, it in enumerate(items):
-            try:
-                out.append(fn(it))
-            except Exception as exc:
-                raise SeeLabError(f"worker failed on item index {i}: {exc}") from exc
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, it) for it in items]
-        out = []
-        for i, fut in enumerate(futures):
-            try:
-                out.append(fut.result())
-            except Exception as exc:
-                raise SeeLabError(f"worker failed on item index {i}: {exc}") from exc
-        return out
-
-
-def _chunk_indices(n: int, workers: int):
-    bounds = np.linspace(0, n, max(1, workers) + 1).astype(int)
-    return [
-        np.arange(bounds[i], bounds[i + 1])
-        for i in range(len(bounds) - 1)
-        if bounds[i] < bounds[i + 1]
-    ]
 
 
 def write_manifest(out_dir, cfg_hash, wall_clock, files, verdicts):
@@ -137,31 +95,10 @@ def cmd_simulate(cfg, args, out_dir):
     n_paths = args.paths if args.paths is not None else int(cfg.get("plan", "n_paths"))
     t_final = float(cfg.get("stepper", "t"))
     x0 = start_vector(cfg, model, "x0")
-    n_steps = n_steps_for(t_final, stepper.dt)
-
-    def run_chunk(idx):
-        traj = TrajectoryRecorder()
-        ball = BallRecorder()
-        x0_rows = np.repeat(x0[None, :], idx.size, axis=0)
-        run_paths(model, stepper, x0_rows, n_steps, seed, idx, recorders=[traj, ball])
-        return idx, traj, ball
-
-    chunks = parallel_map(run_chunk, _chunk_indices(n_paths, args.workers), args.workers)
-    files, max_h = [], 0.0
-    times = np.arange(n_steps + 1) * stepper.dt
-    for idx, traj, ball in chunks:
-        max_h = max(max_h, float(ball.max_h.max()) if idx.size else 0.0)
-        for row, pi in enumerate(idx):
-            inc = traj.increments[row]
-            path = PathSample(
-                times=times,
-                states=traj.states[row],
-                ledger=LocalTimeLedger(inc, float(h_norm_arr(inc).sum())),
-                noise_seed=seed,
-                path_index=int(pi),
-                model_id=model.model_id,
-            )
-            files.append(dump_path_csv(path, out_dir))
+    ball = BallRecorder()
+    paths = simulate_paths(model, x0, t_final, stepper, seed, range(n_paths), [ball])
+    files = [dump_path_csv(path, out_dir) for path in paths]
+    max_h = float(ball.max_h.max(initial=0.0))
     if stepper.scheme == "projected":
         ok, tol_txt = max_h <= 1.0, "<= 1 exactly"
     else:
@@ -188,10 +125,7 @@ def cmd_couple(cfg, args, out_dir):
         y0 = np.zeros(model.dim)
         x0[0], y0[0] = 0.5, -0.5
 
-    def one(pi):
-        return simulate_coupled(model, x0, y0, t_final, stepper, seed, pi)
-
-    coupled = parallel_map(one, range(n_paths), args.workers)
+    coupled = simulate_coupled_paths(model, x0, y0, t_final, stepper, seed, range(n_paths))
     files = [dump_coupled_csv(c, dist, out_dir) for c in coupled]
     c_bound = shift_bound_constant(model)
     worst = 0.0
@@ -253,9 +187,7 @@ def cmd_ergodicity(cfg, args, out_dir):
     h1 = validate_h1(model)
     if not h1.passed:
         print("warning: spectral-gap condition fails for this model", file=sys.stderr)
-    report, series = run_ergodicity_battery(
-        model, plan, dist=dist, workers=args.workers
-    )
+    report, series = run_ergodicity_battery(model, plan, dist=dist)
     files = save_battery_outputs(out_dir, report, series)
     return files, report.verdicts
 
@@ -338,8 +270,8 @@ def main(argv=None) -> int:
     parser.add_argument("--paths", type=int, default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument(
-        "--workers", type=int,
-        default=int(os.environ.get("SEE_LAB_WORKERS", "1")),
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; has no effect",
     )
     parser.add_argument(
         "--experiment", default="verify-model",

@@ -20,7 +20,6 @@ import numpy as np
 
 from .coefficients import ModelSpec
 from .dynamics import (
-    LocalTimeLedger,
     PathSample,
     StepperConfig,
     TrajectoryRecorder,
@@ -135,14 +134,52 @@ class _BetaRecorder:
         self.record = None
 
     def begin(self, rt):
-        self.record = np.empty((rt.n_steps + 1, rt.x_new.shape[1]))
-        self.record[0] = rt.beta_vec()[0]
+        self.record = np.empty((rt.p, rt.n_steps + 1, rt.state.shape[1]))
+        self.record[:, 0] = rt.beta_vec()
 
     def on_step(self, rt):
-        self.record[rt.k + 1] = rt.beta_vec()[0]
+        self.record[:, rt.k + 1] = rt.beta_vec()
 
-    def finish(self, rt):
-        pass
+
+def simulate_coupled_paths(
+    model: ModelSpec,
+    x,
+    y,
+    t_final: float,
+    cfg: StepperConfig,
+    seed: int,
+    path_indices,
+) -> list[CoupledPath]:
+    """Integrate the pairs (X, Y) of `path_indices`, all started from (x, y),
+    as one stacked batch: each pair shares its Gaussian increments, Y gets
+    the P_N drift correction, and reflection applies to each system
+    independently.  Warns (does not fail) if the spectral-gap condition
+    does not hold for the model."""
+    path_indices = np.asarray(path_indices, dtype=np.int64)
+    p = path_indices.size
+    x0 = np.repeat(_as_batch_x0(model, x), p, axis=0)
+    y0 = np.repeat(_as_batch_x0(model, y), p, axis=0)
+    if not validate_h1(model).passed:
+        warnings.warn("spectral-gap condition fails; coupling may not contract")
+    n_steps = n_steps_for(t_final, cfg.dt)
+    tx, ty = TrajectoryRecorder("x"), TrajectoryRecorder("y")
+    recorders = [tx, ty]
+    has_pinv = model.noise.pseudo_inverse_floor(model.coupling_n) is not None
+    if has_pinv:
+        beta_rec = _BetaRecorder()
+        recorders.append(beta_rec)
+    run_paths(model, cfg, x0, n_steps, seed, path_indices, recorders=recorders, y0=y0)
+    if has_pinv:
+        records = beta_rec.record
+        costs = [float(_trapz((rec * rec).sum(axis=1), dx=cfg.dt)) for rec in records]
+    else:
+        records = np.full((p, n_steps + 1, model.dim), np.nan)
+        costs = [float("nan")] * p
+        warnings.warn("noise map has no pseudo-inverse; shift record unavailable")
+    return [
+        CoupledPath(xp, yp, rec, cost)
+        for xp, yp, rec, cost in zip(tx.samples(), ty.samples(), records, costs)
+    ]
 
 
 def simulate_coupled(
@@ -154,48 +191,9 @@ def simulate_coupled(
     seed: int,
     path_index: int = 0,
 ) -> CoupledPath:
-    """Integrate the pair (X, Y) from (x, y) with shared Gaussian increments
-    and the P_N drift correction in Y; reflection applied to each system
-    independently.  Warns (does not fail) if the spectral-gap condition does
-    not hold for the model."""
-    x0 = _as_batch_x0(model, x)
-    y0 = _as_batch_x0(model, y)
-    if not validate_h1(model).passed:
-        warnings.warn("spectral-gap condition fails; coupling may not contract")
-    n_steps = n_steps_for(t_final, cfg.dt)
-    tx, ty = TrajectoryRecorder("x"), TrajectoryRecorder("y")
-    recorders = [tx, ty]
-    has_pinv = model.noise.pseudo_inverse_floor(model.coupling_n) is not None
-    beta_rec = None
-    if has_pinv:
-        beta_rec = _BetaRecorder()
-        recorders.append(beta_rec)
-    run_paths(
-        model, cfg, x0, n_steps, seed, [path_index], recorders=recorders, y0=y0
-    )
-    times = np.arange(n_steps + 1) * cfg.dt
-    paths = []
-    for rec in (tx, ty):
-        inc = rec.increments[0]
-        paths.append(
-            PathSample(
-                times=times,
-                states=rec.states[0],
-                ledger=LocalTimeLedger(inc, float(h_norm_arr(inc).sum())),
-                noise_seed=seed,
-                path_index=path_index,
-                model_id=model.model_id,
-            )
-        )
-    if has_pinv:
-        record = beta_rec.record
-        bsq = (record * record).sum(axis=1)
-        cost = float(_trapz(bsq, dx=cfg.dt))
-    else:
-        record = np.full((n_steps + 1, model.dim), np.nan)
-        cost = float("nan")
-        warnings.warn("noise map has no pseudo-inverse; shift record unavailable")
-    return CoupledPath(paths[0], paths[1], record, cost)
+    """The pair `path_index` of simulate_coupled_paths: (X, Y) from (x, y)
+    with shared Gaussian increments and the P_N drift correction in Y."""
+    return simulate_coupled_paths(model, x, y, t_final, cfg, seed, [path_index])[0]
 
 
 def dump_coupled_csv(cp: CoupledPath, p: DistanceParams, directory) -> str:

@@ -19,12 +19,13 @@ The engine steps a whole batch of paths at once.  All arithmetic is
 row-local (one row per path, modes on the last axis), and the Brownian
 increments come from counter-addressed streams keyed by (seed, path_index,
 step), so a path's trajectory is bit-identical no matter how paths are
-grouped into batches or workers.
+grouped into batches.  Coupled pairs are one stacked batch through the same
+step kernel: the Y rows follow the X rows and reuse their increments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,11 +73,11 @@ class PathSample:
 
 
 def project_ball(y: StateVector) -> StateVector:
-    """Π(y): identity inside the closed unit ball, radial rescale outside."""
-    r = float(h_norm_arr(y.coeffs))
-    if r <= 1.0:
-        return y
-    return StateVector(y.coeffs / r, y.basis)
+    """Π(y): identity inside the closed unit ball, radial rescale outside.
+
+    The rescale is the projected scheme's, so |Π(y)|_H ≤ 1 holds exactly."""
+    y_new, rho, _ = _apply_ball(y.coeffs[None, :], StepperConfig())
+    return y if rho[0] == 1.0 else StateVector(y_new[0], y.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -86,52 +87,52 @@ def project_ball(y: StateVector) -> StateVector:
 class RunContext:
     """Mutable per-run state shared with recorders.
 
-    Attributes suffixed _x belong to the first system; _y to the optional
-    second (coupled) system.  Recorders are called once after every step,
-    with `k` the index of the step just taken (states are at t_{k+1}).
+    A run steps one stacked array of R rows: the P rows of X and, in a
+    coupled run, the P rows of Y after them (R = 2P).  `state`, `tilde`,
+    `dl_scale` and `dl_hnorm` hold all R rows, and `rows(a, system)` selects
+    the P rows of system "x" or "y".  The norms and integrals of X, and the
+    Girsanov fields (coupled runs with a pseudo-inverse only), have one entry
+    per path.  Recorders are called once after every step, with `k` the
+    index of the step just taken (states are at t_{k+1}).
     """
 
-    def __init__(self, model, cfg, p, n_steps, path_indices, coupled):
+    def __init__(self, model, cfg, p, n_steps, path_indices, seed, coupled):
         self.model = model
         self.cfg = cfg
         self.dt = cfg.dt
         self.p = p
         self.n_steps = n_steps
         self.path_indices = path_indices
+        self.seed = seed
         self.coupled = coupled
         self.k = -1
         self.t_next = 0.0
-        self.x_prev = None
-        self.x_new = None
-        self.x_tilde = None
-        self.dl_scale_x = None  # (P,) rho - 1, dL = dl_scale * x_tilde
-        self.dl_hnorm_x = None
-        self.vsq_trapz_x = np.zeros(p)  # ∫ ‖X‖²_V ds up to t_{k+1}
-        self.hsq_trapz_x = np.zeros(p)  # ∫ |X|²_H ds
-        self.hsq_x = None  # |X(t_{k+1})|²_H
-        self.y_prev = None
-        self.y_new = None
-        self.y_tilde = None
-        self.dl_scale_y = None
-        self.dl_hnorm_y = None
+        self.state = None  # (R, M) states at t_{k+1}
+        self.tilde = None  # (R, M) pre-constraint states X̃ of step k
+        self.dl_scale = None  # (R,) rho - 1, dL = dl_scale * tilde
+        self.dl_hnorm = None  # (R,) |dL|_H
+        self.hsq = None  # (P,) |X(t_{k+1})|²_H
+        self.vsq_trapz = np.zeros(p)  # ∫ ‖X‖²_V ds up to t_{k+1}
+        self.hsq_trapz = np.zeros(p)  # ∫ |X|²_H ds
         self.beta_sq = None  # ‖β(t_{k+1})‖²_{l²}
         self.beta_trapz = np.zeros(p) if coupled else None
         self.beta_diag = None  # noise diagonal at Y(t_{k+1}) on coupled modes
 
-    def dl_x(self) -> np.ndarray:
-        return self.x_tilde * self.dl_scale_x[:, None]
+    def rows(self, a, system: str = "x"):
+        """The P rows of system "x" or "y" of a per-row field."""
+        return a[: self.p] if system == "x" else a[self.p :]
 
-    def dl_y(self) -> np.ndarray:
-        return self.y_tilde * self.dl_scale_y[:, None]
+    def dl(self, system: str = "x") -> np.ndarray:
+        """Local-time increments dL of step k, one row per path."""
+        return self.rows(self.tilde, system) * self.rows(self.dl_scale, system)[:, None]
 
     def beta_vec(self) -> np.ndarray:
         """Girsanov shift at the current states (coupled runs only)."""
         n = self.model.coupling_n
         lam_next = self.model.basis.eigenvalues[n]
-        out = np.zeros_like(self.x_new)
-        out[:, :n] = (
-            0.5 * lam_next * (self.x_new[:, :n] - self.y_new[:, :n]) / self.beta_diag
-        )
+        x, y = self.rows(self.state, "x"), self.rows(self.state, "y")
+        out = np.zeros_like(x)
+        out[:, :n] = 0.5 * lam_next * (x[:, :n] - y[:, :n]) / self.beta_diag
         return out
 
 
@@ -166,14 +167,53 @@ def _apply_ball(x_tilde, cfg):
     return x_tilde * rho[:, None], rho, r
 
 
-def _check_finite(model, x_new, r, path_indices, step, dt):
+def _kernel(model, cfg, p, coupled=False, correction=True):
+    """The step of a stacked (R, M) state, as step(s, diag, dw) -> (s_new,
+    tilde, rho, r): tilde is the semi-implicit Euler state, s_new =
+    rho[:, None] * tilde the state after the ball constraint, r = |tilde|_H.
+
+    diag is σ(s) and dw holds the Brownian increments of the P rows of X.  In
+    a coupled run (R = 2P) Y row i reuses the increments of X row i and, with
+    correction, gets the steering drift (λ_{N+1}/2) P_N (X − Y).
+    """
+    lam = model.basis.eigenvalues
+    m = lam.size
+    dt = cfg.dt
+    inv1p = 1.0 / (1.0 + dt * lam)
+    gamma = model.damping_gamma
+    has_b = model.bilinear.kind != "zero"
+    n_cut = model.coupling_n
+    corr = 0.5 * float(lam[n_cut]) if (coupled and correction) else 0.0
+
+    def step(s, diag, dw):
+        d = model.drift.eval_batch(s)
+        if has_b:
+            d = d + model.bilinear.bilinear_batch(s, s)
+        if gamma != 0.0:
+            d = d - gamma * s
+        if corr != 0.0:
+            d[p:, :n_cut] += corr * (s[:p, :n_cut] - s[p:, :n_cut])
+        if coupled:
+            xi = (diag.reshape(2, p, m) * dw).reshape(2 * p, m)
+        else:
+            xi = diag * dw
+        tilde = (s + dt * d + xi) * inv1p
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_new, rho, r = _apply_ball(tilde, cfg)
+        return s_new, tilde, rho, r
+
+    return step
+
+
+def _check_finite(model, s_new, r, path_indices, step, dt):
     """Raise DivergedError for the first row with a nonfinite state or
-    pre-constraint norm r = |X̃|_H."""
-    bad_rows = ~(np.isfinite(x_new).all(axis=1) & np.isfinite(r))
+    pre-constraint norm r = |X̃|_H; X rows come before Y rows."""
+    bad_rows = ~(np.isfinite(s_new).all(axis=1) & np.isfinite(r))
     if bad_rows.any():
         bad = int(np.nonzero(bad_rows)[0][0])
         raise DivergedError(
-            int(path_indices[bad]), step, step * dt, float(r[bad]), model.model_id
+            int(path_indices[bad % len(path_indices)]), step, step * dt,
+            float(r[bad]), model.model_id,
         )
 
 
@@ -191,118 +231,88 @@ def run_paths(
     """Advance a batch of paths (optionally coupled pairs) for n_steps.
 
     x0: (P, M) initial states, one row per entry of path_indices.
-    y0: optional (P, M) second-system starts; both systems then share the
-        Brownian increments.  With correction=True the second system gets
-        the extra drift (λ_{N+1}/2) P_N (X − Y); correction=False gives the
-        plain synchronous coupling.
+    y0: optional (P, M) second-system starts.  The pairs are then stepped as
+        one stacked (2P, M) batch, X rows first, in which Y row i shares
+        the Brownian increments of X row i.  With correction=True the Y rows
+        get the extra drift (λ_{N+1}/2) P_N (X − Y); correction=False gives
+        the plain synchronous coupling.
 
     Returns (x_final, y_final) where y_final is None for single runs.
     """
-    basis = model.basis
-    m = basis.dim
-    lam = basis.eigenvalues
+    m = model.basis.dim
+    lam = model.basis.eigenvalues
     p = x0.shape[0]
     path_indices = np.asarray(path_indices, dtype=np.int64)
-    if x0.shape != (p, m) or path_indices.shape != (p,):
-        raise ValidationError("x0 must be (P, M) matching path_indices length")
     coupled = y0 is not None
+    if (
+        x0.shape != (p, m)
+        or path_indices.shape != (p,)
+        or (coupled and np.shape(y0) != (p, m))
+    ):
+        raise ValidationError("x0 (and y0) must be (P, M) matching path_indices length")
     dt = cfg.dt
-    inv1p = 1.0 / (1.0 + dt * lam)
-    gamma = model.damping_gamma
-    has_b = model.bilinear.kind != "zero"
     n_cut = model.coupling_n
-    corr = 0.5 * float(lam[n_cut]) if (coupled and correction) else 0.0
     track_beta = coupled and model.noise.pseudo_inverse_floor(n_cut) is not None
+    step = _kernel(model, cfg, p, coupled, correction)
 
-    rt = RunContext(model, cfg, p, n_steps, path_indices, coupled)
-    x = np.array(x0, dtype=float)
-    y = np.array(y0, dtype=float) if coupled else None
-
-    def explicit_drift(u):
-        d = model.drift.eval_batch(u)
-        if has_b:
-            d = d + model.bilinear.bilinear_batch(u, u)
-        if gamma != 0.0:
-            d = d - gamma * u
-        return d
-
-    def beta_stats(xs, ys, diag_y):
-        dlow = diag_y[:, :n_cut]
-        bv = 0.5 * float(lam[n_cut]) * (xs[:, :n_cut] - ys[:, :n_cut]) / dlow
+    def beta_stats(s, diag):
+        dlow = diag[p:, :n_cut]
+        bv = 0.5 * float(lam[n_cut]) * (s[:p, :n_cut] - s[p:, :n_cut]) / dlow
         return (bv * bv).sum(axis=1), dlow
 
+    rt = RunContext(model, cfg, p, n_steps, path_indices, seed, coupled)
+    s = np.concatenate([x0, y0], dtype=float) if coupled else np.array(x0, dtype=float)
     # state-dependent quantities at t_0
-    diag_x = model.noise.diag_batch(x)
+    diag = model.noise.diag_batch(s)
+    x = s[:p]
     vsq_prev = (lam * x * x).sum(axis=1)
     hsq_prev = (x * x).sum(axis=1)
-    rt.x_new = x
-    rt.hsq_x = hsq_prev
-    if coupled:
-        diag_y = model.noise.diag_batch(y)
-        rt.y_new = y
-        if track_beta:
-            rt.beta_sq, rt.beta_diag = beta_stats(x, y, diag_y)
+    rt.state = s
+    rt.hsq = hsq_prev
+    if track_beta:
+        rt.beta_sq, rt.beta_diag = beta_stats(s, diag)
     for rec in recorders:
         rec.begin(rt)
 
     chunk = max(1, min(n_steps, _NOISE_CHUNK_TARGET // max(p * m, 1)))
-    noise = None
     beta_sq_prev = rt.beta_sq
 
     for k in range(n_steps):
         if k % chunk == 0:
+            noise = dw = None  # release the previous chunk before filling the next
             rows = min(chunk, n_steps - k)
             noise = np.empty((p, rows, m))
             for row, pi in enumerate(path_indices):
                 noise[row] = gaussian_block(seed, int(pi), k, rows, m, dt)
         dw = noise[:, k % chunk, :]
 
-        x_tilde = (x + dt * explicit_drift(x) + diag_x * dw) * inv1p
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_new, rho_x, r_x = _apply_ball(x_tilde, cfg)
-        _check_finite(model, x_new, r_x, path_indices, k + 1, dt)
-
-        if coupled:
-            dy = explicit_drift(y)
-            if corr != 0.0:
-                dy[:, :n_cut] += corr * (x[:, :n_cut] - y[:, :n_cut])
-            y_tilde = (y + dt * dy + diag_y * dw) * inv1p
-            with np.errstate(over="ignore", invalid="ignore"):
-                y_new, rho_y, r_y = _apply_ball(y_tilde, cfg)
-            _check_finite(model, y_new, r_y, path_indices, k + 1, dt)
+        s_new, tilde, rho, r = step(s, diag, dw)
+        _check_finite(model, s_new, r, path_indices, k + 1, dt)
 
         # refresh state-dependent quantities and integrals at t_{k+1}
-        diag_x = model.noise.diag_batch(x_new)
-        vsq_new = (lam * x_new * x_new).sum(axis=1)
-        hsq_new = (x_new * x_new).sum(axis=1)
-        rt.vsq_trapz_x += 0.5 * dt * (vsq_prev + vsq_new)
-        rt.hsq_trapz_x += 0.5 * dt * (hsq_prev + hsq_new)
+        diag = model.noise.diag_batch(s_new)
+        x = s_new[:p] if coupled else s_new
+        vsq_new = (lam * x * x).sum(axis=1)
+        hsq_new = (x * x).sum(axis=1)
+        rt.vsq_trapz += 0.5 * dt * (vsq_prev + vsq_new)
+        rt.hsq_trapz += 0.5 * dt * (hsq_prev + hsq_new)
         vsq_prev, hsq_prev = vsq_new, hsq_new
 
         rt.k = k
         rt.t_next = (k + 1) * dt
-        rt.x_prev, rt.x_new, rt.x_tilde = x, x_new, x_tilde
-        rt.dl_scale_x = rho_x - 1.0
-        rt.dl_hnorm_x = np.abs(rt.dl_scale_x) * r_x
-        rt.hsq_x = hsq_new
-        if coupled:
-            diag_y = model.noise.diag_batch(y_new)
-            rt.y_prev, rt.y_new, rt.y_tilde = y, y_new, y_tilde
-            rt.dl_scale_y = rho_y - 1.0
-            rt.dl_hnorm_y = np.abs(rt.dl_scale_y) * r_y
-            if track_beta:
-                rt.beta_sq, rt.beta_diag = beta_stats(x_new, y_new, diag_y)
-                rt.beta_trapz += 0.5 * dt * (beta_sq_prev + rt.beta_sq)
-                beta_sq_prev = rt.beta_sq
-            y = y_new
-        x = x_new
+        rt.state, rt.tilde, rt.hsq = s_new, tilde, hsq_new
+        rt.dl_scale = rho - 1.0
+        rt.dl_hnorm = np.abs(rt.dl_scale) * r
+        if track_beta:
+            rt.beta_sq, rt.beta_diag = beta_stats(s_new, diag)
+            rt.beta_trapz += 0.5 * dt * (beta_sq_prev + rt.beta_sq)
+            beta_sq_prev = rt.beta_sq
+        s = s_new
 
         for rec in recorders:
             rec.on_step(rt)
 
-    for rec in recorders:
-        rec.finish(rt)
-    return x, (y if coupled else None)
+    return (s[:p], s[p:]) if coupled else (s, None)
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +328,26 @@ class TrajectoryRecorder:
         self.increments = None
 
     def begin(self, rt):
-        m = rt.x_new.shape[1]
+        m = rt.state.shape[1]
         self.states = np.empty((rt.p, rt.n_steps + 1, m))
         self.increments = np.zeros((rt.p, rt.n_steps, m))
-        self.states[:, 0] = rt.x_new if self.system == "x" else rt.y_new
+        self.states[:, 0] = rt.rows(rt.state, self.system)
+        self._labels = (rt.dt, rt.seed, rt.path_indices, rt.model.model_id)
 
     def on_step(self, rt):
-        if self.system == "x":
-            self.states[:, rt.k + 1] = rt.x_new
-            self.increments[:, rt.k] = rt.dl_x()
-        else:
-            self.states[:, rt.k + 1] = rt.y_new
-            self.increments[:, rt.k] = rt.dl_y()
+        self.states[:, rt.k + 1] = rt.rows(rt.state, self.system)
+        self.increments[:, rt.k] = rt.dl(self.system)
 
-    def finish(self, rt):
-        pass
+    def samples(self) -> list[PathSample]:
+        """One PathSample per recorded path, in batch order."""
+        dt, seed, path_indices, model_id = self._labels
+        times = np.arange(self.states.shape[1]) * dt
+        out = []
+        for row, pi in enumerate(path_indices):
+            inc = self.increments[row]
+            ledger = LocalTimeLedger(inc, float(h_norm_arr(inc).sum()))
+            out.append(PathSample(times, self.states[row], ledger, seed, int(pi), model_id))
+        return out
 
 
 class BallRecorder:
@@ -343,15 +358,10 @@ class BallRecorder:
         self.max_h = None
 
     def begin(self, rt):
-        state = rt.x_new if self.system == "x" else rt.y_new
-        self.max_h = h_norm_arr(state)
+        self.max_h = h_norm_arr(rt.rows(rt.state, self.system))
 
     def on_step(self, rt):
-        state = rt.x_new if self.system == "x" else rt.y_new
-        np.maximum(self.max_h, h_norm_arr(state), out=self.max_h)
-
-    def finish(self, rt):
-        pass
+        np.maximum(self.max_h, h_norm_arr(rt.rows(rt.state, self.system)), out=self.max_h)
 
 
 class ContactRecorder:
@@ -373,11 +383,11 @@ class ContactRecorder:
         self.max_norm_dev = np.zeros(rt.p)
 
     def on_step(self, rt):
-        active = rt.dl_scale_x < 0.0
+        active = rt.rows(rt.dl_scale) < 0.0
         if not active.any():
             return
-        dl = rt.dl_x()[active]
-        xn = rt.x_new[active]
+        dl = rt.dl()[active]
+        xn = rt.rows(rt.state)[active]
         xn_norm = h_norm_arr(xn)
         u = xn / xn_norm[:, None]
         along = (dl * u).sum(axis=1)
@@ -388,9 +398,6 @@ class ContactRecorder:
         self.n_contacts[idx] += 1
         np.maximum.at(self.max_sin, idx, sin)
         np.maximum.at(self.max_norm_dev, idx, np.abs(xn_norm - 1.0))
-
-    def finish(self, rt):
-        pass
 
 
 class ObstacleRecorder:
@@ -404,22 +411,19 @@ class ObstacleRecorder:
         self.tv = None  # (P,)
 
     def begin(self, rt):
-        m = rt.x_new.shape[1]
+        m = rt.state.shape[1]
         self.seg_dl = np.zeros((rt.p, self.n_segments, m))
         self.x_dot_dl = np.zeros(rt.p)
         self.tv = np.zeros(rt.p)
 
     def on_step(self, rt):
-        if not (rt.dl_scale_x < 0.0).any():
+        if not (rt.rows(rt.dl_scale) < 0.0).any():
             return
-        dl = rt.dl_x()
+        dl = rt.dl()
         seg = min(self.n_segments - 1, rt.k * self.n_segments // max(rt.n_steps, 1))
         self.seg_dl[:, seg, :] += dl
-        self.x_dot_dl += (rt.x_new * dl).sum(axis=1)
-        self.tv += rt.dl_hnorm_x
-
-    def finish(self, rt):
-        pass
+        self.x_dot_dl += (rt.rows(rt.state) * dl).sum(axis=1)
+        self.tv += rt.rows(rt.dl_hnorm)
 
 
 # ---------------------------------------------------------------------------
@@ -453,35 +457,46 @@ def steps_for_times(t_grid, dt: float) -> np.ndarray:
     return steps
 
 
-def _single_step(model: ModelSpec, state: StateVector, cfg: StepperConfig, noise):
-    x0 = _as_batch_x0(model, state)
-    lam = model.basis.eigenvalues
-    dt = cfg.dt
-    u = x0[0]
-    drift = model.drift.eval_batch(x0)[0]
-    if model.bilinear.kind != "zero":
-        drift = drift + model.bilinear.bilinear_batch(x0, x0)[0]
-    drift = drift - model.damping_gamma * u
-    xi = model.noise.diag_batch(x0)[0] * np.asarray(noise, dtype=float)
-    x_tilde = (u + dt * drift + xi) / (1.0 + dt * lam)
-    x_new, rho, _ = _apply_ball(x_tilde[None, :], cfg)
-    dl = x_tilde * (rho[0] - 1.0)
+def _step_with_noise(model: ModelSpec, state: StateVector, cfg: StepperConfig, noise):
+    """One kernel step of one state with the given noise; returns (next, dL)."""
+    x = _as_batch_x0(model, state)
+    dw = np.broadcast_to(np.asarray(noise, dtype=float), x.shape)
+    x_new, tilde, rho, _ = _kernel(model, cfg, 1)(x, model.noise.diag_batch(x), dw)
+    dl = tilde[0] * (rho[0] - 1.0)
     return StateVector(x_new[0], model.basis), StateVector(dl, model.basis)
 
 
 def step_projected(model: ModelSpec, state: StateVector, cfg: StepperConfig, noise):
     """One projected step; returns (next_state, dL)."""
-    if cfg.scheme != "projected":
-        cfg = StepperConfig(dt=cfg.dt, scheme="projected")
-    return _single_step(model, state, cfg, noise)
+    return _step_with_noise(model, state, replace(cfg, scheme="projected"), noise)
 
 
 def step_penalized(model: ModelSpec, state: StateVector, cfg: StepperConfig, noise):
     """One penalized step (implicit radial penalty); returns the next state."""
-    if cfg.scheme != "penalized":
-        cfg = StepperConfig(dt=cfg.dt, scheme="penalized", penalty_n=cfg.penalty_n)
-    new, _ = _single_step(model, state, cfg, noise)
-    return new
+    return _step_with_noise(model, state, replace(cfg, scheme="penalized"), noise)[0]
+
+
+def simulate_paths(
+    model: ModelSpec,
+    x0,
+    t_final: float,
+    cfg: StepperConfig,
+    seed: int,
+    path_indices,
+    recorders=(),
+) -> list[PathSample]:
+    """Full trajectories on [0, T] with their local-time ledgers, of the
+    paths `path_indices` all started at x0, as one batch.
+
+    Extra recorders ride along in the same run.
+    """
+    x0b = _as_batch_x0(model, x0)
+    n_steps = n_steps_for(t_final, cfg.dt)
+    path_indices = np.asarray(path_indices, dtype=np.int64)
+    traj = TrajectoryRecorder()
+    rows = np.repeat(x0b, path_indices.size, axis=0)
+    run_paths(model, cfg, rows, n_steps, seed, path_indices, recorders=[traj, *recorders])
+    return traj.samples()
 
 
 def simulate_path(
@@ -497,22 +512,7 @@ def simulate_path(
     Deterministic given (model, x0, T, cfg, seed, path_index); equals row
     `path_index` of any batch containing it.
     """
-    x0b = _as_batch_x0(model, x0)
-    n_steps = n_steps_for(t_final, cfg.dt)
-    traj = TrajectoryRecorder()
-    run_paths(model, cfg, x0b, n_steps, seed, [path_index], recorders=[traj])
-    inc = traj.increments[0]
-    ledger = LocalTimeLedger(
-        increments=inc, total_variation=float(h_norm_arr(inc).sum())
-    )
-    return PathSample(
-        times=np.arange(n_steps + 1) * cfg.dt,
-        states=traj.states[0],
-        ledger=ledger,
-        noise_seed=seed,
-        path_index=path_index,
-        model_id=model.model_id,
-    )
+    return simulate_paths(model, x0, t_final, cfg, seed, [path_index])[0]
 
 
 # ---------------------------------------------------------------------------

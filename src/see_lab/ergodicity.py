@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,9 +143,6 @@ class ValueCapture:
         for name in self.sups:
             self.values[name][:, col] = self._running[name]
 
-    def finish(self, rt):
-        pass
-
 
 def _run_captured(
     model,
@@ -158,7 +154,6 @@ def _run_captured(
     y0_rows=None,
     correction=True,
     extra_steps: int = 0,
-    workers: int = 1,
 ):
     """Run plan.n_paths paths per start row and capture channel values.
 
@@ -179,42 +174,26 @@ def _run_captured(
             y0 = np.repeat(y0, p, axis=0)
     seed = derive_seed(plan.base_seed, seed_tag)
 
-    workers = max(1, min(int(workers), p))
-    bounds = np.linspace(0, p, workers + 1).astype(int)
-    chunks = [(bounds[i], bounds[i + 1]) for i in range(workers) if bounds[i] < bounds[i + 1]]
-
-    def run_chunk(lo, hi):
-        cap = ValueCapture(grid_steps, channels, sups)
-        run_paths(
-            model,
-            plan.cfg,
-            x0[lo:hi],
-            n_steps,
-            seed,
-            np.arange(lo, hi),
-            recorders=[cap],
-            y0=None if y0 is None else y0[lo:hi],
-            correction=correction,
-        )
-        return cap.values
-
-    if len(chunks) == 1:
-        results = [run_chunk(*chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(lambda c: run_chunk(*c), chunks))
-    names = list(channels) + list(sups or {})
-    return {n: np.concatenate([r[n] for r in results], axis=0) for n in names}
+    cap = ValueCapture(grid_steps, channels, sups)
+    run_paths(
+        model, plan.cfg, x0, n_steps, seed, np.arange(p),
+        recorders=[cap], y0=y0, correction=correction,
+    )
+    return cap.values
 
 
 # channel builders ----------------------------------------------------------
 
 
+def _gap(rt):
+    return rt.rows(rt.state, "x") - rt.rows(rt.state, "y")
+
+
 def _chan_weighted_gap(coef: float, power: int):
     def fn(rt):
-        gap = rt.x_new - rt.y_new
+        gap = _gap(rt)
         g2 = (gap * gap).sum(axis=1)
-        w = np.exp(-coef * rt.vsq_trapz_x)
+        w = np.exp(-coef * rt.vsq_trapz)
         return w * g2 ** (power / 2.0)
 
     return fn
@@ -222,14 +201,14 @@ def _chan_weighted_gap(coef: float, power: int):
 
 def _chan_exp_vsq(four_delta: float):
     def fn(rt):
-        return np.exp(four_delta * rt.vsq_trapz_x)
+        return np.exp(four_delta * rt.vsq_trapz)
 
     return fn
 
 
 def _chan_d_gap(params: DistanceParams):
     def fn(rt):
-        return d_distance_arr(h_norm_arr(rt.x_new - rt.y_new), params)
+        return d_distance_arr(h_norm_arr(_gap(rt)), params)
 
     return fn
 
@@ -344,7 +323,7 @@ def lyapunov_check(model: ModelSpec, x, plan: MonteCarloPlan):
     gamma_lyap, k_const = lyapunov_constants(model)
 
     def chan(rt):
-        return rt.hsq_x + gamma_lyap * rt.hsq_trapz_x
+        return rt.hsq + gamma_lyap * rt.hsq_trapz
 
     vals = _run_captured(model, plan, x, "lyapunov", {"lhs": chan})
     series = _series_from_values(plan.t_grid, vals["lhs"])
@@ -552,19 +531,17 @@ class _SnapshotRecorder:
         self.count = 0
 
     def begin(self, rt):
+        self.vsq_trapz = rt.vsq_trapz  # updated in place by the run
         if self.burn == 0:
-            self.rows[self.count] = rt.x_new[0]
+            self.rows[self.count] = rt.state[0]
             self.count += 1
 
     def on_step(self, rt):
         k1 = rt.k + 1
         if k1 >= self.burn and (k1 - self.burn) % self.thin == 0:
             if self.count < self.rows.shape[0]:
-                self.rows[self.count] = rt.x_new[0]
+                self.rows[self.count] = rt.state[0]
                 self.count += 1
-
-    def finish(self, rt):
-        self.final_vsq_trapz = float(rt.vsq_trapz_x[0])
 
 
 def batch_means_se(samples: np.ndarray, n_batches: int = 20) -> np.ndarray:
@@ -609,7 +586,7 @@ def occupation_sampler(
         second_moments=second.mean(axis=0),
         se_mean=batch_means_se(states),
         se_second=batch_means_se(second),
-        vsq_time_average=rec.final_vsq_trapz / t_total,
+        vsq_time_average=float(rec.vsq_trapz[0]) / t_total,
         vsq_bound=k_const,
         seed=seed,
     )
@@ -752,7 +729,6 @@ def run_ergodicity_battery(
     x=None,
     y=None,
     occupation: bool = True,
-    workers: int = 1,
 ) -> tuple[ErgodicityReport, dict]:
     """Full estimator battery; returns (report, series dict for persistence)."""
     m = model.dim
@@ -850,7 +826,7 @@ def run_ergodicity_battery(
     # total-variation certificate)
     vals = _run_captured(
         model, plan, x, "shift_cost", {"cost": lambda rt: rt.beta_trapz},
-        y0_rows=y, workers=workers,
+        y0_rows=y,
     )
     cost_mean = float(vals["cost"][:, -1].mean())
 

@@ -325,7 +325,7 @@ def run_nse_experiment(nse: NseModel, kind: str, plan=None, out_dir=None, **kw):
         ]
         return {"verdicts": verdicts}
     if kind == "simulate":
-        from .dynamics import dump_path_csv, simulate_path
+        from .dynamics import dump_path_csv, simulate_paths
 
         x0 = kw.get("x0")
         if x0 is None:
@@ -333,13 +333,11 @@ def run_nse_experiment(nse: NseModel, kind: str, plan=None, out_dir=None, **kw):
         cfg = plan.cfg if plan is not None else kw["cfg"]
         seed = plan.base_seed if plan is not None else kw.get("seed", 0)
         t_final = kw.get("t_final", float(plan.t_grid[-1]) if plan is not None else 1.0)
-        paths = []
         n_paths = plan.n_paths if plan is not None else kw.get("n_paths", 1)
-        for idx in range(n_paths):
-            path = simulate_path(model, x0, t_final, cfg, seed, idx)
-            if out_dir is not None:
+        paths = simulate_paths(model, x0, t_final, cfg, seed, range(n_paths))
+        if out_dir is not None:
+            for path in paths:
                 dump_path_csv(path, out_dir)
-            paths.append(path)
         energies = np.stack([h_norm_arr(p.states) ** 2 for p in paths])
         return {"paths": paths, "energies": energies}
     if kind == "ergodicity":

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from see_lab.cli import main, parallel_map
+from see_lab.cli import main
 from see_lab.config import (
     build_model_from_config,
     distance_from_config,
@@ -10,7 +10,7 @@ from see_lab.config import (
     plan_from_config,
     stepper_from_config,
 )
-from see_lab.errors import ConfigError, SeeLabError
+from see_lab.errors import ConfigError
 
 MINIMAL = "[plan]\nn_paths = 4\n"
 
@@ -137,29 +137,6 @@ def test_auto_delta_runs_grid_search():
 
     dist = distance_from_config(cfg, model)
     assert dist.delta == select_delta(model)[0]
-
-
-# parallel_map -------------------------------------------------------------
-
-
-def test_parallel_map_preserves_order():
-    items = list(range(20))
-    assert parallel_map(lambda x: x * x, items, workers=4) == [x * x for x in items]
-    assert parallel_map(lambda x: x * x, items, workers=1) == [x * x for x in items]
-
-
-def test_parallel_map_empty():
-    assert parallel_map(lambda x: x, [], workers=4) == []
-
-
-def test_parallel_map_crash_carries_index():
-    def boom(x):
-        if x == 3:
-            raise RuntimeError("nope")
-        return x
-
-    with pytest.raises(SeeLabError, match="item index 3"):
-        parallel_map(boom, range(6), workers=2)
 
 
 # CLI end to end -----------------------------------------------------------

@@ -74,6 +74,18 @@ def test_project_ball_radial():
     assert np.array_equal(out.coeffs, [1.0, 0.0, 0.0])
 
 
+def test_project_ball_never_leaves_ball():
+    # a plain division by |y|_H can round to a norm just above 1
+    rng = np.random.default_rng(0)
+    for m in (3, 8, 16, 48):
+        b = quadratic_basis(m)
+        ys = rng.standard_normal((5000, m))
+        ys *= rng.uniform(1.0, 50.0, (5000, 1)) / h_norm_arr(ys)[:, None]
+        ys = ys[h_norm_arr(ys) > 1.0]
+        norms = np.array([h_norm(project_ball(b.vector(y))) for y in ys])
+        assert np.all(norms <= 1.0), (m, int((norms > 1.0).sum()))
+
+
 # single steps ----------------------------------------------------------
 
 
@@ -139,6 +151,30 @@ def test_step_penalized_stiff_limit_matches_projection():
     cfg_pen = StepperConfig(dt=1e-3, scheme="penalized", penalty_n=1e12)
     pen = step_penalized(model, x, cfg_pen, np.zeros(4))
     assert np.allclose(pen.coeffs, proj.coeffs, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["projected", "penalized"])
+def test_single_step_is_kernel_step(scheme):
+    # step_projected / step_penalized with the stream's first noise row equal
+    # a one-step run_paths bit for bit, for every built-in model kind
+    from see_lab.dynamics import TrajectoryRecorder, run_paths
+    from see_lab.rng import gaussian_block
+
+    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    for name, model, x0 in _builtin_cases():
+        m = model.dim
+        for i, radius in ((0, 0.9), (5, 0.999), (17, 0.3)):
+            x = radius * x0
+            noise = gaussian_block(41, i, 0, 1, m, cfg.dt)[0]
+            traj = TrajectoryRecorder()
+            ref, _ = run_paths(model, cfg, x[None, :], 1, 41, [i], recorders=[traj])
+            state = model.basis.vector(x)
+            if scheme == "projected":
+                new, dl = step_projected(model, state, cfg, noise)
+                assert np.array_equal(dl.coeffs, traj.increments[0, 0]), name
+            else:
+                new = step_penalized(model, state, cfg, noise)
+            assert np.array_equal(new.coeffs, ref[0]), (name, i)
 
 
 # full paths ------------------------------------------------------------
@@ -286,6 +322,47 @@ def test_divergence_reports_norm_and_model_id():
     assert e.model_id != base.model_id
     assert e.h_norm == np.inf
     assert f"model_id={model.model_id}" in str(e) and "|X~|_H=inf" in str(e)
+
+
+def _overflow_model():
+    # boundary_active's components with the drift scaled so that a state with
+    # |x|_H = 1 overflows in the first step, while x = 0 stays at rest
+    base = boundary_active_model(m=8)
+    return build_model(
+        basis=base.basis,
+        drift=affine_drift(np.zeros(8), 1e300),
+        bilinear=base.bilinear,
+        noise=base.noise,
+        lipschitz_c1=base.lipschitz_c1,
+        coupling_n=base.coupling_n,
+    )
+
+
+def test_divergence_on_y_row_reports_its_path():
+    from see_lab.dynamics import run_paths
+
+    model = _overflow_model()
+    xs = np.zeros((3, 8))
+    ys = np.zeros((3, 8))
+    ys[1, 0] = 1.0  # only the Y row of the second pair blows up
+    with pytest.raises(DivergedError) as err:
+        run_paths(model, StepperConfig(dt=1e-3), xs, 5, 5, [10, 20, 30], y0=ys)
+    e = err.value
+    assert (e.path_index, e.step, e.model_id) == (20, 1, model.model_id)
+    assert e.h_norm == np.inf
+
+
+def test_divergence_reports_x_rows_before_y_rows():
+    from see_lab.dynamics import run_paths
+
+    model = _overflow_model()
+    xs = np.zeros((3, 8))
+    ys = np.zeros((3, 8))
+    xs[2, 0] = 1.0  # X row of the last pair
+    ys[0, 0] = 1.0  # Y row of the first pair, in the same step
+    with pytest.raises(DivergedError) as err:
+        run_paths(model, StepperConfig(dt=1e-3), xs, 5, 5, [10, 20, 30], y0=ys)
+    assert (err.value.path_index, err.value.step) == (30, 1)
 
 
 # obstacle inequality ---------------------------------------------------

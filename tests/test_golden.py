@@ -1,5 +1,6 @@
-"""Golden SHA-256 digests of the noise stream and of one trajectory per
-built-in model kind.
+"""Golden SHA-256 digests of the noise stream, of one trajectory per
+built-in model kind, of steered coupled runs, and of the `see-lab simulate`
+and `see-lab couple` output trees.
 
 A change that keeps results bit-identical leaves every digest here as it is.
 A change that moves any bit of a pinned output must update its digest and
@@ -71,3 +72,65 @@ def test_trajectory_digest(name):
     assert path.states.shape == (201, model.dim)
     digest = _sha256(path.states, path.ledger.increments)
     assert digest == TRAJECTORY_SHA256[name]
+
+
+COUPLED_SHA256 = {
+    ("benchmark", True):
+        "d7fdb337c1c6c799919ba53391f5fac3274f655593dc0321dca24b5dd4328320",
+    ("benchmark", False):
+        "2d4a01da336f32817a5b92803206580ce4c7db8248e7d4bd587eecebc2139729",
+    ("nse_kappa2", True):
+        "f0be7e19da386b5e0e367977d795cc05bc7ee7aefd0eca8f8f51ac2f1b5885d0",
+    ("nse_kappa2", False):
+        "436045bee5a9cb0cb77c3fa64f58b1b8eabac73d1ab0dad56166215a74236068",
+}
+
+CLI_TREE_SHA256 = "5d928b66f296dc357208e7ac5ee683474fd4b486d7479730b9949336acfb594f"
+
+
+@pytest.mark.parametrize("name,correction", sorted(COUPLED_SHA256))
+def test_coupled_run_digest(name, correction):
+    # three steered pairs from different Y starts: both trajectories, both
+    # local-time ledgers and the running Girsanov cost ∫‖β‖² at every step
+    from see_lab.dynamics import TrajectoryRecorder, run_paths
+    from see_lab.ergodicity import ValueCapture
+
+    model, x0 = _golden_case(name)
+    m = model.dim
+    xs = np.repeat(x0[None, :], 3, axis=0)
+    ys = np.stack([-x0, 0.5 * x0[::-1], _spread_start(m, 0.99)[::-1]])
+    tx, ty = TrajectoryRecorder("x"), TrajectoryRecorder("y")
+    cost = ValueCapture(np.arange(201), {"beta": lambda rt: rt.beta_trapz})
+    run_paths(
+        model, StepperConfig(dt=1e-3), xs, 200, 77, [3, 4, 9],
+        recorders=[tx, ty, cost], y0=ys, correction=correction,
+    )
+    digest = _sha256(
+        tx.states, tx.increments, ty.states, ty.increments, cost.values["beta"]
+    )
+    assert digest == COUPLED_SHA256[(name, correction)]
+
+
+def test_cli_output_tree_digest(tmp_path):
+    # `see-lab simulate` and `see-lab couple` result files, and the manifests
+    # without their wall-clock line
+    from see_lab.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[model]\nkind = generic\n[basis]\nm = 16\n"
+        "[stepper]\ndt = 1e-3\nt = 0.05\n[plan]\nn_paths = 3\n"
+    )
+    h = hashlib.sha256()
+    for sub in ("simulate", "couple"):
+        out = tmp_path / sub
+        assert main([sub, "--config", str(cfg), "--seed", "11", "--out", str(out)]) == 0
+        for name in sorted(p.name for p in out.iterdir()):
+            data = (out / name).read_bytes()
+            if name == "manifest.txt":
+                data = b"".join(
+                    ln for ln in data.splitlines(keepends=True)
+                    if not ln.startswith(b"wall_clock")
+                )
+            h.update(f"{sub}/{name}\n".encode() + data)
+    assert h.hexdigest() == CLI_TREE_SHA256
