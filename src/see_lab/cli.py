@@ -217,7 +217,8 @@ def cmd_nse(cfg, args, out_dir):
             for i in range(plan.n_paths)
         ]
         return files, []
-    res = run_nse_experiment(nse_model, "ergodicity", plan=plan)
+    dist = distance_from_config(cfg, model)
+    res = run_nse_experiment(nse_model, "ergodicity", plan=plan, dist=dist)
     files = save_battery_outputs(out_dir, res["report"], res["series"])
     return files, res["report"].verdicts
 

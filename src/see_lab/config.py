@@ -40,6 +40,13 @@ _KNOWN_KEYS = {
     "output": {"directory", "formats"},
 }
 
+# keys that name a choice with one implemented value
+_SINGLE_VALUED = (
+    ("basis", "spectrum", "quadratic"),
+    ("noise", "kind", "diag_affine"),
+    ("output", "formats", "csv"),
+)
+
 _DEFAULTS = {
     ("model", "kind"): "generic",
     ("model", "c1"): "0.5",
@@ -225,6 +232,11 @@ def _validate(cfg: ExperimentConfig, violations: list):
             steps = np.round(grid / dt)
             if np.any(np.abs(steps * dt - grid) > 1e-9):
                 violations.append("[plan] dt must divide every t_grid time within 1e-9")
+    for section, key, only in _SINGLE_VALUED:
+        raw = cfg.get(section, key)
+        if raw != only:
+            line = cfg.values[(section, key)][1]
+            violations.append(f"line {line}: [{section}] {key} must be {only}, got {raw!r}")
     scheme = cfg.get("stepper", "scheme")
     if scheme not in ("projected", "penalized"):
         violations.append(f"[stepper] scheme must be projected or penalized, got {scheme!r}")
@@ -254,33 +266,26 @@ def build_basis_from_config(cfg: ExperimentConfig) -> SpectralBasis:
 def build_model_from_config(cfg: ExperimentConfig):
     """ModelSpec for generic configs, (NseModel, ModelSpec) for nse kind."""
     if cfg.get("model", "kind") == "nse":
-        from .nse import build_nse_model
+        from .nse import build_fourier_grid, build_nse_model
 
         m_forcing = cfg.get("nse", "forcing")
         forcing = None
         kappa = int(cfg.get("nse", "kappa"))
         n_cfg = int(cfg.get("nse", "coupling_n")) if cfg.has("nse", "coupling_n") else None
         c1_cfg = float(cfg.get("model", "c1")) if cfg.has("model", "c1") else None
+        if m_forcing:
+            forcing = np.zeros(build_fourier_grid(kappa).dim)
+            for item in m_forcing.split(","):
+                idx, val = item.split(":")
+                forcing[int(idx) - 1] = float(val)
         nse = build_nse_model(
             kappa=kappa,
             gamma=float(cfg.get("nse", "gamma")),
             sigma0=float(cfg.get("nse", "sigma0")),
+            forcing=forcing,
             coupling_n=n_cfg,
             lipschitz_c1=c1_cfg,
         )
-        if m_forcing:
-            forcing = np.zeros(nse.spec.dim)
-            for item in m_forcing.split(","):
-                idx, val = item.split(":")
-                forcing[int(idx) - 1] = float(val)
-            nse = build_nse_model(
-                kappa=kappa,
-                gamma=float(cfg.get("nse", "gamma")),
-                sigma0=float(cfg.get("nse", "sigma0")),
-                forcing=forcing,
-                coupling_n=n_cfg,
-                lipschitz_c1=c1_cfg,
-            )
         return nse, nse.spec
 
     basis = build_basis_from_config(cfg)

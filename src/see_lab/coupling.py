@@ -30,8 +30,6 @@ from .dynamics import (
 from .errors import ValidationError
 from .spectral import StateVector, h_norm_arr, validate_h1
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 @dataclass(frozen=True)
 class DistanceParams:
@@ -62,6 +60,20 @@ def d_distance_arr(gap_h: np.ndarray, p: DistanceParams) -> np.ndarray:
     return np.minimum(p.n_tilde * np.asarray(gap_h) ** p.exponent, 1.0)
 
 
+def _shift_rows(model: ModelSpec, x, y, diag_y) -> np.ndarray:
+    """β on the N coupled modes of each row pair: (P, N) from (P, M) states
+    and the noise diagonal σ(Y)."""
+    n = model.coupling_n
+    return 0.5 * float(model.basis.eigenvalues[n]) * (x[:, :n] - y[:, :n]) / diag_y[:, :n]
+
+
+def _pinv_floor(model: ModelSpec) -> float:
+    floor = model.noise.pseudo_inverse_floor(model.coupling_n)
+    if floor is None:
+        raise ValidationError("noise map has no pseudo-inverse on the coupled modes")
+    return floor
+
+
 def girsanov_shift(model: ModelSpec, x_state, y_state) -> np.ndarray:
     """Noise-space steering vector at a state pair.
 
@@ -69,29 +81,18 @@ def girsanov_shift(model: ModelSpec, x_state, y_state) -> np.ndarray:
     (λ_{N+1}/2)(x_i − y_i)/(s_i g(|y|_H)).  Requires a noise map with a
     positive diagonal floor on those modes.
     """
-    n = model.coupling_n
-    if model.noise.pseudo_inverse_floor(n) is None:
-        raise ValidationError(
-            "noise map has no pseudo-inverse on the coupled modes"
-        )
+    _pinv_floor(model)
     cx = x_state.coeffs if isinstance(x_state, StateVector) else np.asarray(x_state)
     cy = y_state.coeffs if isinstance(y_state, StateVector) else np.asarray(y_state)
     if cx.shape != (model.dim,) or cy.shape != (model.dim,):
         raise ValidationError("state length != model dim")
-    diag = model.noise.diag_batch(cy[None, :])[0]
-    lam_next = float(model.basis.eigenvalues[n])
-    out = np.zeros(model.dim)
-    out[:n] = 0.5 * lam_next * (cx[:n] - cy[:n]) / diag[:n]
-    return out
+    beta = _shift_rows(model, cx[None, :], cy[None, :], model.noise.diag_batch(cy[None, :]))
+    return np.pad(beta[0], (0, model.dim - beta.shape[1]))
 
 
 def shift_bound_constant(model: ModelSpec) -> float:
     """Explicit constant C with ‖β‖_{l²} ≤ C |x − y|_H for the diagonal noise."""
-    n = model.coupling_n
-    floor = model.noise.pseudo_inverse_floor(n)
-    if floor is None:
-        raise ValidationError("noise map has no pseudo-inverse on the coupled modes")
-    return float(model.basis.eigenvalues[n]) / (2.0 * floor)
+    return float(model.basis.eigenvalues[model.coupling_n]) / (2.0 * _pinv_floor(model))
 
 
 def select_delta(model: ModelSpec, grid=None) -> tuple[float, float]:
@@ -129,16 +130,30 @@ class CoupledPath:
     shift_cost: float  # trapezoidal ∫ ‖β‖²_{l²} dt
 
 
-class _BetaRecorder:
+class ShiftRecorder:
+    """Girsanov shift β of every pair of a coupled run at every step, on the
+    N coupled modes, and its running cost ∫₀ᵗ ‖β‖²_{l²} ds (trapezoidal)."""
+
     def __init__(self):
-        self.record = None
+        self.record = None  # (P, K+1, N)
+        self.cost = None  # (P,) cost up to the current step
 
     def begin(self, rt):
-        self.record = np.empty((rt.p, rt.n_steps + 1, rt.state.shape[1]))
-        self.record[:, 0] = rt.beta_vec()
+        _pinv_floor(rt.model)
+        self.record = np.empty((rt.p, rt.n_steps + 1, rt.model.coupling_n))
+        self._bsq = self._store(rt, 0)
+        self.cost = np.zeros(rt.p)
 
     def on_step(self, rt):
-        self.record[:, rt.k + 1] = rt.beta_vec()
+        bsq = self._store(rt, rt.k + 1)
+        self.cost += 0.5 * rt.dt * (self._bsq + bsq)
+        self._bsq = bsq
+
+    def _store(self, rt, col):
+        x, y = rt.rows(rt.state, "x"), rt.rows(rt.state, "y")
+        beta = _shift_rows(rt.model, x, y, rt.rows(rt.diag, "y"))
+        self.record[:, col] = beta
+        return (beta * beta).sum(axis=1)
 
 
 def simulate_coupled_paths(
@@ -162,22 +177,19 @@ def simulate_coupled_paths(
     if not validate_h1(model).passed:
         warnings.warn("spectral-gap condition fails; coupling may not contract")
     n_steps = n_steps_for(t_final, cfg.dt)
-    tx, ty = TrajectoryRecorder("x"), TrajectoryRecorder("y")
-    recorders = [tx, ty]
+    tx, ty, shift = TrajectoryRecorder("x"), TrajectoryRecorder("y"), ShiftRecorder()
     has_pinv = model.noise.pseudo_inverse_floor(model.coupling_n) is not None
-    if has_pinv:
-        beta_rec = _BetaRecorder()
-        recorders.append(beta_rec)
+    recorders = [tx, ty, shift] if has_pinv else [tx, ty]
     run_paths(model, cfg, x0, n_steps, seed, path_indices, recorders=recorders, y0=y0)
     if has_pinv:
-        records = beta_rec.record
-        costs = [float(_trapz((rec * rec).sum(axis=1), dx=cfg.dt)) for rec in records]
+        records = np.pad(shift.record, ((0, 0), (0, 0), (0, model.dim - model.coupling_n)))
+        costs = shift.cost
     else:
         records = np.full((p, n_steps + 1, model.dim), np.nan)
-        costs = [float("nan")] * p
+        costs = np.full(p, np.nan)
         warnings.warn("noise map has no pseudo-inverse; shift record unavailable")
     return [
-        CoupledPath(xp, yp, rec, cost)
+        CoupledPath(xp, yp, rec, float(cost))
         for xp, yp, rec, cost in zip(tx.samples(), ty.samples(), records, costs)
     ]
 

@@ -85,18 +85,17 @@ def project_ball(y: StateVector) -> StateVector:
 
 
 class RunContext:
-    """Mutable per-run state shared with recorders.
+    """What the step kernel produced, shared with recorders.
 
     A run steps one stacked array of R rows: the P rows of X and, in a
     coupled run, the P rows of Y after them (R = 2P).  `state`, `tilde`,
-    `dl_scale` and `dl_hnorm` hold all R rows, and `rows(a, system)` selects
-    the P rows of system "x" or "y".  The norms and integrals of X, and the
-    Girsanov fields (coupled runs with a pseudo-inverse only), have one entry
-    per path.  Recorders are called once after every step, with `k` the
-    index of the step just taken (states are at t_{k+1}).
+    `dl_scale` and `diag` hold all R rows, and `rows(a, system)` selects the
+    P rows of system "x" or "y".  Recorders are called once after every
+    step, with `k` the index of the step just taken (states are at t_{k+1});
+    path functionals such as running integrals are the recorders' own.
     """
 
-    def __init__(self, model, cfg, p, n_steps, path_indices, seed, coupled):
+    def __init__(self, model, cfg, p, n_steps, path_indices, seed):
         self.model = model
         self.cfg = cfg
         self.dt = cfg.dt
@@ -104,19 +103,11 @@ class RunContext:
         self.n_steps = n_steps
         self.path_indices = path_indices
         self.seed = seed
-        self.coupled = coupled
         self.k = -1
-        self.t_next = 0.0
         self.state = None  # (R, M) states at t_{k+1}
         self.tilde = None  # (R, M) pre-constraint states X̃ of step k
         self.dl_scale = None  # (R,) rho - 1, dL = dl_scale * tilde
-        self.dl_hnorm = None  # (R,) |dL|_H
-        self.hsq = None  # (P,) |X(t_{k+1})|²_H
-        self.vsq_trapz = np.zeros(p)  # ∫ ‖X‖²_V ds up to t_{k+1}
-        self.hsq_trapz = np.zeros(p)  # ∫ |X|²_H ds
-        self.beta_sq = None  # ‖β(t_{k+1})‖²_{l²}
-        self.beta_trapz = np.zeros(p) if coupled else None
-        self.beta_diag = None  # noise diagonal at Y(t_{k+1}) on coupled modes
+        self.diag = None  # (R, M) noise diagonal σ(state)
 
     def rows(self, a, system: str = "x"):
         """The P rows of system "x" or "y" of a per-row field."""
@@ -125,15 +116,6 @@ class RunContext:
     def dl(self, system: str = "x") -> np.ndarray:
         """Local-time increments dL of step k, one row per path."""
         return self.rows(self.tilde, system) * self.rows(self.dl_scale, system)[:, None]
-
-    def beta_vec(self) -> np.ndarray:
-        """Girsanov shift at the current states (coupled runs only)."""
-        n = self.model.coupling_n
-        lam_next = self.model.basis.eigenvalues[n]
-        x, y = self.rows(self.state, "x"), self.rows(self.state, "y")
-        out = np.zeros_like(x)
-        out[:, :n] = 0.5 * lam_next * (x[:, :n] - y[:, :n]) / self.beta_diag
-        return out
 
 
 def _apply_ball(x_tilde, cfg):
@@ -240,7 +222,6 @@ def run_paths(
     Returns (x_final, y_final) where y_final is None for single runs.
     """
     m = model.basis.dim
-    lam = model.basis.eigenvalues
     p = x0.shape[0]
     path_indices = np.asarray(path_indices, dtype=np.int64)
     coupled = y0 is not None
@@ -251,31 +232,16 @@ def run_paths(
     ):
         raise ValidationError("x0 (and y0) must be (P, M) matching path_indices length")
     dt = cfg.dt
-    n_cut = model.coupling_n
-    track_beta = coupled and model.noise.pseudo_inverse_floor(n_cut) is not None
     step = _kernel(model, cfg, p, coupled, correction)
 
-    def beta_stats(s, diag):
-        dlow = diag[p:, :n_cut]
-        bv = 0.5 * float(lam[n_cut]) * (s[:p, :n_cut] - s[p:, :n_cut]) / dlow
-        return (bv * bv).sum(axis=1), dlow
-
-    rt = RunContext(model, cfg, p, n_steps, path_indices, seed, coupled)
+    rt = RunContext(model, cfg, p, n_steps, path_indices, seed)
     s = np.concatenate([x0, y0], dtype=float) if coupled else np.array(x0, dtype=float)
-    # state-dependent quantities at t_0
     diag = model.noise.diag_batch(s)
-    x = s[:p]
-    vsq_prev = (lam * x * x).sum(axis=1)
-    hsq_prev = (x * x).sum(axis=1)
-    rt.state = s
-    rt.hsq = hsq_prev
-    if track_beta:
-        rt.beta_sq, rt.beta_diag = beta_stats(s, diag)
+    rt.state, rt.diag = s, diag
     for rec in recorders:
         rec.begin(rt)
 
     chunk = max(1, min(n_steps, _NOISE_CHUNK_TARGET // max(p * m, 1)))
-    beta_sq_prev = rt.beta_sq
 
     for k in range(n_steps):
         if k % chunk == 0:
@@ -286,29 +252,13 @@ def run_paths(
                 noise[row] = gaussian_block(seed, int(pi), k, rows, m, dt)
         dw = noise[:, k % chunk, :]
 
-        s_new, tilde, rho, r = step(s, diag, dw)
-        _check_finite(model, s_new, r, path_indices, k + 1, dt)
-
-        # refresh state-dependent quantities and integrals at t_{k+1}
-        diag = model.noise.diag_batch(s_new)
-        x = s_new[:p] if coupled else s_new
-        vsq_new = (lam * x * x).sum(axis=1)
-        hsq_new = (x * x).sum(axis=1)
-        rt.vsq_trapz += 0.5 * dt * (vsq_prev + vsq_new)
-        rt.hsq_trapz += 0.5 * dt * (hsq_prev + hsq_new)
-        vsq_prev, hsq_prev = vsq_new, hsq_new
+        s, tilde, rho, r = step(s, diag, dw)
+        _check_finite(model, s, r, path_indices, k + 1, dt)
+        diag = model.noise.diag_batch(s)
 
         rt.k = k
-        rt.t_next = (k + 1) * dt
-        rt.state, rt.tilde, rt.hsq = s_new, tilde, hsq_new
+        rt.state, rt.tilde, rt.diag = s, tilde, diag
         rt.dl_scale = rho - 1.0
-        rt.dl_hnorm = np.abs(rt.dl_scale) * r
-        if track_beta:
-            rt.beta_sq, rt.beta_diag = beta_stats(s_new, diag)
-            rt.beta_trapz += 0.5 * dt * (beta_sq_prev + rt.beta_sq)
-            beta_sq_prev = rt.beta_sq
-        s = s_new
-
         for rec in recorders:
             rec.on_step(rt)
 
@@ -423,7 +373,7 @@ class ObstacleRecorder:
         seg = min(self.n_segments - 1, rt.k * self.n_segments // max(rt.n_steps, 1))
         self.seg_dl[:, seg, :] += dl
         self.x_dot_dl += (rt.rows(rt.state) * dl).sum(axis=1)
-        self.tv += rt.rows(rt.dl_hnorm)
+        self.tv += np.abs(rt.rows(rt.dl_scale)) * h_norm_arr(rt.rows(rt.tilde))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import ModelSpec
-from .coupling import DistanceParams, d_distance_arr, select_delta
+from .coupling import DistanceParams, ShiftRecorder, d_distance_arr, select_delta
 from .dynamics import StepperConfig, n_steps_for, run_paths, steps_for_times
 from .errors import ValidationError
 from .rng import derive_seed
@@ -108,7 +108,8 @@ class ValueCapture:
 
     channels: name -> fn(rt) -> (P,), evaluated at each grid step (step 0
     included via begin).  sups: same, but the running max since t = 0 is
-    what gets snapshotted at grid steps.
+    what gets snapshotted at grid steps.  A channel that reads a running
+    integral reads it from a recorder placed before this one in the run.
     """
 
     def __init__(self, grid_steps, channels, sups=None):
@@ -153,33 +154,55 @@ def _run_captured(
     sups=None,
     y0_rows=None,
     correction=True,
-    extra_steps: int = 0,
+    integrals=(),
 ):
     """Run plan.n_paths paths per start row and capture channel values.
 
     x0_rows may be a single (M,) start (broadcast to all paths) or a (P, M)
-    array of per-path starts.  Returns dict name -> (P, G) in path order.
+    array of per-path starts.  `integrals` are the recorders the channels
+    read; they run before the capture.  Returns dict name -> (P, G) in path
+    order.
     """
     grid_steps = plan.grid_steps
-    n_steps = int(grid_steps.max()) + extra_steps
+    n_steps = int(grid_steps.max())
     plan.check_model(model)
     x0 = np.atleast_2d(np.asarray(x0_rows, dtype=float))
-    p = x0.shape[0] if x0.shape[0] > 1 else plan.n_paths
     if x0.shape[0] == 1:
-        x0 = np.repeat(x0, p, axis=0)
-    y0 = None
+        x0 = np.repeat(x0, plan.n_paths, axis=0)
     if y0_rows is not None:
-        y0 = np.atleast_2d(np.asarray(y0_rows, dtype=float))
-        if y0.shape[0] == 1:
-            y0 = np.repeat(y0, p, axis=0)
+        y0_rows = np.broadcast_to(np.asarray(y0_rows, dtype=float), x0.shape)
     seed = derive_seed(plan.base_seed, seed_tag)
 
     cap = ValueCapture(grid_steps, channels, sups)
     run_paths(
-        model, plan.cfg, x0, n_steps, seed, np.arange(p),
-        recorders=[cap], y0=y0, correction=correction,
+        model, plan.cfg, x0, n_steps, seed, np.arange(x0.shape[0]),
+        recorders=[*integrals, cap], y0=y0_rows, correction=correction,
     )
     return cap.values
+
+
+class _SqNormIntegral:
+    """Σ_i w_i X_i² of the X rows at the current state (`now`) and its
+    running trapezoidal integral over [0, t] (`trapz`): w = λ gives ‖X‖²_V,
+    w = 1 gives |X|²_H."""
+
+    def __init__(self, weights):
+        self.weights = weights
+        self.now = None
+        self.trapz = None
+
+    def begin(self, rt):
+        self.now = self._sq(rt)
+        self.trapz = np.zeros(rt.p)
+
+    def on_step(self, rt):
+        new = self._sq(rt)
+        self.trapz += 0.5 * rt.dt * (self.now + new)
+        self.now = new
+
+    def _sq(self, rt):
+        x = rt.rows(rt.state)
+        return (self.weights * x * x).sum(axis=1)
 
 
 # channel builders ----------------------------------------------------------
@@ -189,19 +212,12 @@ def _gap(rt):
     return rt.rows(rt.state, "x") - rt.rows(rt.state, "y")
 
 
-def _chan_weighted_gap(coef: float, power: int):
+def _chan_weighted_gap(vsq: _SqNormIntegral, coef: float, power: int):
     def fn(rt):
         gap = _gap(rt)
         g2 = (gap * gap).sum(axis=1)
-        w = np.exp(-coef * rt.vsq_trapz)
+        w = np.exp(-coef * vsq.trapz)
         return w * g2 ** (power / 2.0)
-
-    return fn
-
-
-def _chan_exp_vsq(four_delta: float):
-    def fn(rt):
-        return np.exp(four_delta * rt.vsq_trapz)
 
     return fn
 
@@ -225,9 +241,10 @@ def weighted_contraction_estimate(model: ModelSpec, x, y, plan: MonteCarloPlan):
         warnings.warn("spectral-gap condition fails; contraction bound may be void")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    vsq = _SqNormIntegral(model.basis.eigenvalues)
     vals = _run_captured(
         model, plan, x, "weighted_contraction",
-        {"wgap": _chan_weighted_gap(4.0, 2)}, y0_rows=y,
+        {"wgap": _chan_weighted_gap(vsq, 4.0, 2)}, y0_rows=y, integrals=[vsq],
     )
     series = _series_from_values(plan.t_grid, vals["wgap"])
     gap0 = float(h_norm_arr(x - y) ** 2)
@@ -254,9 +271,10 @@ def fourth_moment_estimate(model: ModelSpec, x, y, plan: MonteCarloPlan):
     bounded: max over the grid ≤ 10 × the first grid value."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    vsq = _SqNormIntegral(model.basis.eigenvalues)
     vals = _run_captured(
         model, plan, x, "fourth_moment",
-        {"wgap4": _chan_weighted_gap(8.0, 4)}, y0_rows=y,
+        {"wgap4": _chan_weighted_gap(vsq, 8.0, 4)}, y0_rows=y, integrals=[vsq],
     )
     series = _series_from_values(plan.t_grid, vals["wgap4"])
     gap0_4 = float(h_norm_arr(x - y) ** 4)
@@ -287,9 +305,10 @@ def exp_integrability_estimate(model: ModelSpec, x, delta: float, plan: MonteCar
     """Sample E[exp(4δ∫₀ᵗ‖X‖²)] against its explicit exponential bound."""
     if not 0.0 < delta < 1.0:
         raise ValidationError("delta must lie in (0, 1)")
+    vsq = _SqNormIntegral(model.basis.eigenvalues)
     vals = _run_captured(
         model, plan, np.asarray(x, dtype=float), "exp_integrability",
-        {"expint": _chan_exp_vsq(4.0 * delta)},
+        {"expint": lambda rt: np.exp(4.0 * delta * vsq.trapz)}, integrals=[vsq],
     )
     series = _series_from_values(plan.t_grid, vals["expint"])
     bound = exp_integrability_bound(model, delta, series.t)
@@ -321,11 +340,12 @@ def lyapunov_check(model: ModelSpec, x, plan: MonteCarloPlan):
     """Check E|X(t)|² + λ₁ ∫₀ᵗ E|X|² ≤ |x|² + Kt within 5% slack + 2 se."""
     x = np.asarray(x, dtype=float)
     gamma_lyap, k_const = lyapunov_constants(model)
+    hsq = _SqNormIntegral(1.0)
 
     def chan(rt):
-        return rt.hsq + gamma_lyap * rt.hsq_trapz
+        return hsq.now + gamma_lyap * hsq.trapz
 
-    vals = _run_captured(model, plan, x, "lyapunov", {"lhs": chan})
+    vals = _run_captured(model, plan, x, "lyapunov", {"lhs": chan}, integrals=[hsq])
     series = _series_from_values(plan.t_grid, vals["lhs"])
     x_sq = float((x * x).sum())
     rhs = x_sq + k_const * series.t
@@ -355,10 +375,11 @@ def feller_modulus_estimate(
     ratios = []
     for s in scales:
         vp = v + s * gap
+        vsq = _SqNormIntegral(model.basis.eigenvalues)
         vals = _run_captured(
             model, plan, v, f"feller_scale_{s}",
-            {}, sups={"sup": _chan_weighted_gap(4.0, 2)},
-            y0_rows=vp, correction=False,
+            {}, sups={"sup": _chan_weighted_gap(vsq, 4.0, 2)},
+            y0_rows=vp, correction=False, integrals=[vsq],
         )
         sup_vals = vals["sup"][:, -1]
         gap_sq = float(h_norm_arr(s * gap) ** 2)
@@ -412,6 +433,17 @@ def _sample_pairs(rng, n_pairs, m, center_radius, gap_lo, gap_hi):
     return xs, ys
 
 
+def _pair_distance_stats(model, plan, xs, ys, p: DistanceParams, seed_tag):
+    """Mean and stderr of d(X(t), Y(t)) over plan.n_paths steered pairs from
+    each start pair (xs[i], ys[i]): two (pairs, G) arrays over plan.t_grid."""
+    vals = _run_captured(
+        model, plan, np.repeat(xs, plan.n_paths, axis=0), seed_tag,
+        {"d": _chan_d_gap(p)}, y0_rows=np.repeat(ys, plan.n_paths, axis=0),
+    )
+    per_pair = vals["d"].reshape(xs.shape[0], plan.n_paths, -1)
+    return per_pair.mean(axis=1), per_pair.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)
+
+
 def contraction_check(
     model: ModelSpec,
     plan: MonteCarloPlan,
@@ -436,15 +468,8 @@ def contraction_check(
     if np.any(d0 >= 1.0) or np.any(d0 <= 0.0):
         raise ValidationError("sampled pairs must have 0 < d(x,y) < 1")
 
-    x_rows = np.repeat(xs, plan.n_paths, axis=0)
-    y_rows = np.repeat(ys, plan.n_paths, axis=0)
     sub = MonteCarloPlan(plan.n_paths, grid, plan.base_seed, plan.cfg, plan.model_id)
-    vals = _run_captured(
-        model, sub, x_rows, "contraction_check", {"d": _chan_d_gap(p)}, y0_rows=y_rows
-    )
-    per_pair = vals["d"].reshape(n_pairs, plan.n_paths, grid.size)
-    mean = per_pair.mean(axis=1)
-    se = per_pair.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)
+    mean, se = _pair_distance_stats(model, sub, xs, ys, p, "contraction_check")
     ratios = (mean + 2.0 * se) / d0[:, None]
     worst = ratios.max(axis=0)  # per grid time
     hits = np.nonzero(worst <= 2.0 / 3.0)[0]
@@ -486,15 +511,8 @@ def d_small_check(
 
     xs = sample_ball(rng, n_pairs, m, radius=radius)
     ys = sample_ball(rng, n_pairs, m, radius=radius)
-    x_rows = np.repeat(xs, plan.n_paths, axis=0)
-    y_rows = np.repeat(ys, plan.n_paths, axis=0)
     sub = MonteCarloPlan(plan.n_paths, np.array([t]), plan.base_seed, plan.cfg, plan.model_id)
-    vals = _run_captured(
-        model, sub, x_rows, "d_small_check", {"d": _chan_d_gap(p)}, y0_rows=y_rows
-    )
-    per_pair = vals["d"].reshape(n_pairs, plan.n_paths)
-    mean = per_pair.mean(axis=1)
-    se = per_pair.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)
+    mean, se = _pair_distance_stats(model, sub, xs, ys, p, "d_small_check")
     sup = float(np.max(mean + 2.0 * se))
     eps = 1.0 - sup
     verdict = Verdict(
@@ -524,6 +542,10 @@ class OccupationMeasure:
 
 
 class _SnapshotRecorder:
+    """Thinned snapshots of one chain after burn-in, and its running ∫‖X‖²_V
+    ds.  The integral is kept here, not in a second recorder: the chain steps
+    one path, so every call per step shows in its time."""
+
     def __init__(self, burn_steps, thin, n_snaps, m):
         self.burn = burn_steps
         self.thin = thin
@@ -531,12 +553,17 @@ class _SnapshotRecorder:
         self.count = 0
 
     def begin(self, rt):
-        self.vsq_trapz = rt.vsq_trapz  # updated in place by the run
+        self._lam, self._half_dt = rt.model.basis.eigenvalues, 0.5 * rt.dt
+        self._vsq = (self._lam * rt.state * rt.state).sum(axis=1)
+        self.vsq_trapz = np.zeros(1)
         if self.burn == 0:
             self.rows[self.count] = rt.state[0]
             self.count += 1
 
     def on_step(self, rt):
+        vsq = (self._lam * rt.state * rt.state).sum(axis=1)
+        self.vsq_trapz += self._half_dt * (self._vsq + vsq)
+        self._vsq = vsq
         k1 = rt.k + 1
         if k1 >= self.burn and (k1 - self.burn) % self.thin == 0:
             if self.count < self.rows.shape[0]:
@@ -823,12 +850,12 @@ def run_ergodicity_battery(
         )
 
     # shift cost statistic (the coupling-cost proxy reported instead of a
-    # total-variation certificate)
-    vals = _run_captured(
-        model, plan, x, "shift_cost", {"cost": lambda rt: rt.beta_trapz},
-        y0_rows=y,
-    )
-    cost_mean = float(vals["cost"][:, -1].mean())
+    # total-variation certificate); 0 when β is undefined
+    cost_mean = 0.0
+    if model.noise.pseudo_inverse_floor(model.coupling_n) is not None:
+        shift = ShiftRecorder()
+        _run_captured(model, plan, x, "shift_cost", {}, y0_rows=y, integrals=[shift])
+        cost_mean = float(shift.cost.mean())
 
     lam_next = float(model.basis.eigenvalues[model.coupling_n])
     c1 = model.lipschitz_c1

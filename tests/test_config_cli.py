@@ -123,6 +123,16 @@ def test_grid_must_lie_in_horizon():
         parse_config_text(bad)
 
 
+@pytest.mark.parametrize(
+    "section,key,value",
+    [("basis", "spectrum", "flat"), ("noise", "kind", "custom"), ("output", "formats", "hdf5")],
+)
+def test_unimplemented_choice_rejected_with_line(section, key, value):
+    text = f"[plan]\nn_paths = 4\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"line 4: \[{section}\] {key} must be"):
+        parse_config_text(text)
+
+
 def test_violations_are_collected():
     bad = "[stepper]\ndtt = 1\nscheme = nonsense\n[model]\nkind = weird\n"
     with pytest.raises(ConfigError) as err:
@@ -227,6 +237,22 @@ def test_cli_nse_verify(tmp_path):
     assert "divergence_free_structure" in txt
 
 
+def test_cli_nse_ergodicity_reads_distance(tmp_path):
+    text = (
+        "[model]\nkind = nse\n[nse]\nkappa = 1\ngamma = 1.0\n[stepper]\nt = 0.02\n"
+        "[plan]\nn_paths = 2\n[distance]\ndelta = 0.3\n"
+    )
+    cfg = _write(tmp_path, text)
+    out = str(tmp_path / "nse")
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        main(["nse", "--config", cfg, "--experiment", "ergodicity", "--out", out])
+    summary = open(os.path.join(out, "summary.txt")).read()
+    assert "distance: n_tilde=1.0 delta=0.3\n" in summary
+
+
 def test_cli_ergodicity_small(tmp_path):
     text = """
 [basis]
@@ -284,13 +310,21 @@ base_seed = 6
     assert os.path.exists(os.path.join(out, "failures.json"))
 
 
-def test_nse_forcing_config_round_trip():
+def test_nse_forcing_config_round_trip(monkeypatch):
+    import see_lab.nse as nse
+
+    assembled = []
+    assemble = nse._assemble_convection
+    monkeypatch.setattr(
+        nse, "_assemble_convection", lambda grid: assembled.append(grid) or assemble(grid)
+    )
     text = (
         "[model]\nkind = nse\n[nse]\nkappa = 1\ngamma = 0.25\n"
         "forcing = 1:0.05, 3:-0.02\n[plan]\nn_paths = 2\n"
     )
     cfg = parse_config_text(text)
     nse_model, spec = build_model_from_config(cfg)
+    assert len(assembled) == 1
     assert nse_model.forcing[0] == 0.05
     assert nse_model.forcing[2] == -0.02
     assert spec.f0_vstar > 0.0  # nonzero forcing shows up in |f(0)|_V*

@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of the noise stream, of one trajectory per
-built-in model kind, of steered coupled runs, and of the `see-lab simulate`
-and `see-lab couple` output trees.
+built-in model kind, of steered coupled runs, of a small estimator battery,
+and of the `see-lab simulate` and `see-lab couple` output trees.
 
 A change that keeps results bit-identical leaves every digest here as it is.
 A change that moves any bit of a pinned output must update its digest and
@@ -92,6 +92,7 @@ CLI_TREE_SHA256 = "5d928b66f296dc357208e7ac5ee683474fd4b486d7479730b9949336acfb5
 def test_coupled_run_digest(name, correction):
     # three steered pairs from different Y starts: both trajectories, both
     # local-time ledgers and the running Girsanov cost ∫‖β‖² at every step
+    from see_lab.coupling import ShiftRecorder
     from see_lab.dynamics import TrajectoryRecorder, run_paths
     from see_lab.ergodicity import ValueCapture
 
@@ -100,10 +101,11 @@ def test_coupled_run_digest(name, correction):
     xs = np.repeat(x0[None, :], 3, axis=0)
     ys = np.stack([-x0, 0.5 * x0[::-1], _spread_start(m, 0.99)[::-1]])
     tx, ty = TrajectoryRecorder("x"), TrajectoryRecorder("y")
-    cost = ValueCapture(np.arange(201), {"beta": lambda rt: rt.beta_trapz})
+    shift = ShiftRecorder()
+    cost = ValueCapture(np.arange(201), {"beta": lambda rt: shift.cost})
     run_paths(
         model, StepperConfig(dt=1e-3), xs, 200, 77, [3, 4, 9],
-        recorders=[tx, ty, cost], y0=ys, correction=correction,
+        recorders=[tx, ty, shift, cost], y0=ys, correction=correction,
     )
     digest = _sha256(
         tx.states, tx.increments, ty.states, ty.increments, cost.values["beta"]
@@ -134,3 +136,27 @@ def test_cli_output_tree_digest(tmp_path):
                 )
             h.update(f"{sub}/{name}\n".encode() + data)
     assert h.hexdigest() == CLI_TREE_SHA256
+
+
+BATTERY_SHA256 = "db3a4eb446c9dfc7de3558c47e6e754c62fb40ad9b7116a1609ae66ee5cbc3dd"
+
+
+def test_battery_digest():
+    # every estimator of the battery, the occupation chain included: verdict
+    # names, passes and margins, the series means and stderrs, the fitted
+    # rate and the mean Girsanov shift cost
+    from see_lab.ergodicity import MonteCarloPlan, run_ergodicity_battery
+
+    plan = MonteCarloPlan(
+        n_paths=4, t_grid=np.arange(1, 4) * 0.01, base_seed=5,
+        cfg=StepperConfig(dt=1e-3),
+    )
+    report, series = run_ergodicity_battery(benchmark_model(), plan)
+    h = hashlib.sha256()
+    for v in report.verdicts:
+        h.update(repr((v.name, v.passed, v.margin)).encode())
+    h.update(repr((report.fitted_rate, report.shift_cost_mean)).encode())
+    for name in sorted(series):
+        s = series[name][0]
+        h.update(name.encode() + _sha256(s.mean, s.stderr).encode())
+    assert h.hexdigest() == BATTERY_SHA256
