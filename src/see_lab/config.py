@@ -176,6 +176,37 @@ def _float_list(cfg, section, key, violations):
         return None
 
 
+def _colon_items(raw: str, n_idx: int, dim: int) -> list:
+    """Items `i_1:...:i_n:c` of a comma-separated list, as (i_1 - 1, ...,
+    i_n - 1, c): n 1-based indices in 1..dim, then a number.  Raises
+    ValueError naming the first item that is not of that form."""
+    out = []
+    for item in raw.split(","):
+        *idx, c = item.split(":")
+        try:
+            zero = [int(i) - 1 for i in idx]
+            if len(zero) != n_idx or not all(0 <= i < dim for i in zero):
+                raise ValueError
+            out.append((*zero, float(c)))
+        except ValueError:
+            raise ValueError(item.strip()) from None
+    return out
+
+
+def _check_colon_items(cfg, section, key, n_idx, dim, violations):
+    raw = cfg.get(section, key)
+    if not raw:
+        return
+    try:
+        _colon_items(raw, n_idx, dim)
+    except ValueError as exc:
+        form = ":".join(["i"] * n_idx)
+        violations.append(
+            f"line {cfg.values[(section, key)][1]}: [{section}] {key} items must be "
+            f"{form}:c with each i in 1..{dim} and c a number, got {str(exc)!r}"
+        )
+
+
 def resolve_t_grid(cfg) -> np.ndarray:
     """The plan's time grid; `auto` snaps {T/4, T/2, T} onto the step grid."""
     raw = cfg.get("plan", "t_grid")
@@ -232,6 +263,23 @@ def _validate(cfg: ExperimentConfig, violations: list):
             steps = np.round(grid / dt)
             if np.any(np.abs(steps * dt - grid) > 1e-9):
                 violations.append("[plan] dt must divide every t_grid time within 1e-9")
+    if kind == "generic":
+        _check_colon_items(cfg, "bilinear", "entries", 3, m, violations)
+        for key in ("rate", "shift", "scale"):
+            vals = _float_list(cfg, "drift", key, violations)
+            if vals is not None and vals.size not in (1, m):
+                violations.append(
+                    f"line {cfg.values[('drift', key)][1]}: [drift] {key} needs 1 or "
+                    f"{m} numbers, got {vals.size}"
+                )
+        _float_list(cfg, "noise", "s", violations)
+    elif kind == "nse":
+        from .nse import build_fourier_grid
+
+        kappa = _int(cfg, "nse", "kappa", violations)
+        if kappa >= 1:
+            dim = build_fourier_grid(kappa).dim
+            _check_colon_items(cfg, "nse", "forcing", 1, dim, violations)
     for section, key, only in _SINGLE_VALUED:
         raw = cfg.get(section, key)
         if raw != only:
@@ -275,9 +323,8 @@ def build_model_from_config(cfg: ExperimentConfig):
         c1_cfg = float(cfg.get("model", "c1")) if cfg.has("model", "c1") else None
         if m_forcing:
             forcing = np.zeros(build_fourier_grid(kappa).dim)
-            for item in m_forcing.split(","):
-                idx, val = item.split(":")
-                forcing[int(idx) - 1] = float(val)
+            for idx, val in _colon_items(m_forcing, 1, forcing.size):
+                forcing[idx] = val
         nse = build_nse_model(
             kappa=kappa,
             gamma=float(cfg.get("nse", "gamma")),
@@ -310,13 +357,7 @@ def build_model_from_config(cfg: ExperimentConfig):
         bilinear = zero_form()
     elif bl_kind == "skew_shear":
         raw = cfg.get("bilinear", "entries")
-        if raw:
-            entries = []
-            for item in raw.split(","):
-                i, j, k, c = item.split(":")
-                entries.append((int(i) - 1, int(j) - 1, int(k) - 1, float(c)))
-        else:
-            entries = DEFAULT_SHEAR_ENTRIES
+        entries = _colon_items(raw, 3, m) if raw else DEFAULT_SHEAR_ENTRIES
         bilinear = skew_shear_form(entries, m)
     else:
         raise ConfigError([f"[bilinear] kind {bl_kind!r} needs an nse model"])

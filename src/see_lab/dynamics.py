@@ -493,20 +493,15 @@ def discrete_obstacle_inequality(
     inc = path.ledger.increments
     n_steps, m = inc.shape
     n_segments = max(1, min(n_segments, max(n_steps, 1)))
-    seg_of = (
-        np.arange(n_steps) * n_segments // max(n_steps, 1)
-        if n_steps
-        else np.zeros(0, dtype=int)
-    )
-    seg_dl = np.zeros((n_segments, m))
-    for s in range(n_segments):
-        seg_dl[s] = inc[seg_of == s].sum(axis=0)
-    x_dot_dl = float((path.states[1:] * inc).sum())
+    # the segment sums ObstacleRecorder accumulates, from the stored ledger
+    seg_dl = np.zeros((1, n_segments, m))
+    np.add.at(seg_dl[0], np.arange(n_steps) * n_segments // max(n_steps, 1), inc)
+    x_dot_dl = np.array([(path.states[1:] * inc).sum()])
     tv = path.ledger.total_variation
 
     rng = np.random.default_rng(seed)
     phi = sample_ball(rng, trials * n_segments, m).reshape(trials, n_segments, m)
-    sums = np.einsum("tsm,sm->t", phi, seg_dl) - x_dot_dl
+    sums = obstacle_sums_from_segments(seg_dl, x_dot_dl, phi)[0]
     min_sum = float(sums.min()) if trials else 0.0
     return ObstacleReport(
         min_sum=min_sum,
@@ -517,7 +512,7 @@ def discrete_obstacle_inequality(
 
 
 def obstacle_sums_from_segments(seg_dl, x_dot_dl, phi):
-    """Same sums as above from batch-accumulated segment data.
+    """Σ_k (φ(t_k) − X(t_{k+1}), dL_k) from segment sums, for every path and φ.
 
     seg_dl: (P, S, M), x_dot_dl: (P,), phi: (T, S, M) -> (P, T)."""
     return np.einsum("psm,tsm->pt", seg_dl, phi) - x_dot_dl[:, None]

@@ -15,7 +15,9 @@ Verdicts widen by 2 standard errors (≈95% CI) so that inequalities that hold
 in expectation do not fail on sampling noise.  Every estimator is a
 deterministic function of (plan.base_seed, model): sub-streams are derived
 per estimator name, and aggregation is done on per-path arrays assembled in
-path-index order.
+path-index order.  Each pair estimator steps all its pairs as one run and
+reduces raw per-path values afterwards, so the battery can run the steered
+pair from (x, y) once and feed four estimators from it.
 """
 
 from __future__ import annotations
@@ -28,10 +30,17 @@ import numpy as np
 
 from .coefficients import ModelSpec
 from .coupling import DistanceParams, ShiftRecorder, d_distance_arr, select_delta
-from .dynamics import StepperConfig, n_steps_for, run_paths, steps_for_times
+from .dynamics import (
+    StepperConfig, _as_batch_x0, n_steps_for, run_paths, sample_ball, steps_for_times,
+)
 from .errors import ValidationError
 from .rng import derive_seed
 from .spectral import h_norm_arr, validate_h1
+
+# Version of the battery's seed tags and run layout, printed in summary.txt;
+# it moves whenever battery results move on purpose.  2: one steered run from
+# (x, y) feeds four estimators, and Feller's scales are one stacked run.
+BATTERY_VERSION = 2
 
 # ---------------------------------------------------------------------------
 # plans, series, verdicts
@@ -148,37 +157,35 @@ class ValueCapture:
 def _run_captured(
     model,
     plan: MonteCarloPlan,
-    x0_rows: np.ndarray,
+    starts,
     seed_tag: str,
     channels,
     sups=None,
-    y0_rows=None,
+    y_starts=None,
     correction=True,
     integrals=(),
 ):
-    """Run plan.n_paths paths per start row and capture channel values.
+    """Run plan.n_paths paths from each start row as one run_paths call, in
+    which path i of start s is path s * n_paths + i, and capture channel
+    values.
 
-    x0_rows may be a single (M,) start (broadcast to all paths) or a (P, M)
-    array of per-path starts.  `integrals` are the recorders the channels
-    read; they run before the capture.  Returns dict name -> (P, G) in path
-    order.
+    starts is (M,) or (S, M); a coupled run pairs it with the rows of
+    y_starts.  `integrals` are the recorders the channels read; they run
+    before the capture.  Returns dict name -> (S, n_paths, G).
     """
-    grid_steps = plan.grid_steps
-    n_steps = int(grid_steps.max())
     plan.check_model(model)
-    x0 = np.atleast_2d(np.asarray(x0_rows, dtype=float))
-    if x0.shape[0] == 1:
-        x0 = np.repeat(x0, plan.n_paths, axis=0)
-    if y0_rows is not None:
-        y0_rows = np.broadcast_to(np.asarray(y0_rows, dtype=float), x0.shape)
-    seed = derive_seed(plan.base_seed, seed_tag)
-
+    grid_steps = plan.grid_steps
+    x0, y0 = (
+        None if a is None
+        else np.repeat(np.atleast_2d(np.asarray(a, dtype=float)), plan.n_paths, axis=0)
+        for a in (starts, y_starts)
+    )
     cap = ValueCapture(grid_steps, channels, sups)
     run_paths(
-        model, plan.cfg, x0, n_steps, seed, np.arange(x0.shape[0]),
-        recorders=[*integrals, cap], y0=y0_rows, correction=correction,
+        model, plan.cfg, x0, int(grid_steps.max()), derive_seed(plan.base_seed, seed_tag),
+        np.arange(x0.shape[0]), recorders=[*integrals, cap], y0=y0, correction=correction,
     )
-    return cap.values
+    return {name: v.reshape(-1, plan.n_paths, v.shape[1]) for name, v in cap.values.items()}
 
 
 class _SqNormIntegral:
@@ -205,32 +212,50 @@ class _SqNormIntegral:
         return (self.weights * x * x).sum(axis=1)
 
 
-# channel builders ----------------------------------------------------------
+def _pair_values(
+    model, plan: MonteCarloPlan, xs, ys, seed_tag, vint=False, sup=False,
+    correction=True, shift=None,
+):
+    """Raw per-path values of plan.n_paths coupled pairs from each start pair
+    (xs[i], ys[i]), all stepped as one run_paths call, at the grid times:
+
+      g2    |X − Y|²_H;
+      vint  ∫₀ᵗ ‖X‖²_V, when asked for;
+      sup   sup_{s≤t} e^{-4∫₀ˢ‖X‖²_V} |X − Y|²_H, when asked for.
+
+    xs and ys are (M,) or (S, M) and broadcast against each other.  A
+    ShiftRecorder `shift` rides along.  Returns name -> (S, n_paths, G); the
+    estimators reduce these.
+    """
+    xs, ys = np.broadcast_arrays(
+        np.atleast_2d(np.asarray(xs, dtype=float)), np.atleast_2d(np.asarray(ys, dtype=float))
+    )
+    vsq = _SqNormIntegral(model.basis.eigenvalues)
+
+    def g2(rt):
+        gap = rt.rows(rt.state, "x") - rt.rows(rt.state, "y")
+        return (gap * gap).sum(axis=1)
+
+    channels = {"g2": g2}
+    if vint:
+        channels["vint"] = lambda rt: vsq.trapz
+    sups = {"sup": lambda rt: np.exp(-4.0 * vsq.trapz) * g2(rt)} if sup else None
+    integrals = ([vsq] if vint or sup else []) + ([shift] if shift is not None else [])
+    return _run_captured(model, plan, xs, seed_tag, channels, sups, ys, correction, integrals)
 
 
-def _gap(rt):
-    return rt.rows(rt.state, "x") - rt.rows(rt.state, "y")
+def _weighted_gap(vals, coef: float, power: int):
+    """e^{-coef ∫‖X‖²_V} |X − Y|^power_H from _pair_values' g2 and vint."""
+    return np.exp(-coef * vals["vint"]) * vals["g2"] ** (power / 2.0)
 
 
-def _chan_weighted_gap(vsq: _SqNormIntegral, coef: float, power: int):
-    def fn(rt):
-        gap = _gap(rt)
-        g2 = (gap * gap).sum(axis=1)
-        w = np.exp(-coef * vsq.trapz)
-        return w * g2 ** (power / 2.0)
-
-    return fn
-
-
-def _chan_d_gap(params: DistanceParams):
-    def fn(rt):
-        return d_distance_arr(h_norm_arr(_gap(rt)), params)
-
-    return fn
+def _distance(vals, p: DistanceParams):
+    """d(X, Y) from _pair_values' g2."""
+    return d_distance_arr(np.sqrt(vals["g2"]), p)
 
 
 # ---------------------------------------------------------------------------
-# estimators
+# estimators: each one runs under its own seed tag, then reduces
 
 
 def weighted_contraction_estimate(model: ModelSpec, x, y, plan: MonteCarloPlan):
@@ -239,15 +264,13 @@ def weighted_contraction_estimate(model: ModelSpec, x, y, plan: MonteCarloPlan):
     h1 = validate_h1(model)
     if not h1.passed:
         warnings.warn("spectral-gap condition fails; contraction bound may be void")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    vsq = _SqNormIntegral(model.basis.eigenvalues)
-    vals = _run_captured(
-        model, plan, x, "weighted_contraction",
-        {"wgap": _chan_weighted_gap(vsq, 4.0, 2)}, y0_rows=y, integrals=[vsq],
-    )
-    series = _series_from_values(plan.t_grid, vals["wgap"])
-    gap0 = float(h_norm_arr(x - y) ** 2)
+    vals = _pair_values(model, plan, x, y, "weighted_contraction", vint=True)
+    return _weighted_contraction(model, x, y, plan, vals)
+
+
+def _weighted_contraction(model, x, y, plan, vals):
+    series = _series_from_values(plan.t_grid, _weighted_gap(vals, 4.0, 2)[0])
+    gap0 = float(h_norm_arr(np.asarray(x, float) - np.asarray(y, float)) ** 2)
     expo = 4.0 * model.lipschitz_c1 - 0.75 * float(
         model.basis.eigenvalues[model.coupling_n]
     )
@@ -269,15 +292,13 @@ def weighted_contraction_estimate(model: ModelSpec, x, y, plan: MonteCarloPlan):
 def fourth_moment_estimate(model: ModelSpec, x, y, plan: MonteCarloPlan):
     """Sample E[exp(−8∫‖X‖²)|X−Y|⁴]/|x−y|⁴ and check it stays locally
     bounded: max over the grid ≤ 10 × the first grid value."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    vsq = _SqNormIntegral(model.basis.eigenvalues)
-    vals = _run_captured(
-        model, plan, x, "fourth_moment",
-        {"wgap4": _chan_weighted_gap(vsq, 8.0, 4)}, y0_rows=y, integrals=[vsq],
-    )
-    series = _series_from_values(plan.t_grid, vals["wgap4"])
-    gap0_4 = float(h_norm_arr(x - y) ** 4)
+    vals = _pair_values(model, plan, x, y, "fourth_moment", vint=True)
+    return _fourth_moment(x, y, plan, vals)
+
+
+def _fourth_moment(x, y, plan, vals):
+    series = _series_from_values(plan.t_grid, _weighted_gap(vals, 8.0, 4)[0])
+    gap0_4 = float(h_norm_arr(np.asarray(x, float) - np.asarray(y, float)) ** 4)
     if gap0_4 == 0.0:
         ratio = np.zeros_like(series.mean)  # identical starts: zero series
     else:
@@ -307,10 +328,10 @@ def exp_integrability_estimate(model: ModelSpec, x, delta: float, plan: MonteCar
         raise ValidationError("delta must lie in (0, 1)")
     vsq = _SqNormIntegral(model.basis.eigenvalues)
     vals = _run_captured(
-        model, plan, np.asarray(x, dtype=float), "exp_integrability",
+        model, plan, x, "exp_integrability",
         {"expint": lambda rt: np.exp(4.0 * delta * vsq.trapz)}, integrals=[vsq],
     )
-    series = _series_from_values(plan.t_grid, vals["expint"])
+    series = _series_from_values(plan.t_grid, vals["expint"][0])
     bound = exp_integrability_bound(model, delta, series.t)
     if not np.all(np.isfinite(series.mean)):
         verdict = Verdict(
@@ -346,7 +367,7 @@ def lyapunov_check(model: ModelSpec, x, plan: MonteCarloPlan):
         return hsq.now + gamma_lyap * hsq.trapz
 
     vals = _run_captured(model, plan, x, "lyapunov", {"lhs": chan}, integrals=[hsq])
-    series = _series_from_values(plan.t_grid, vals["lhs"])
+    series = _series_from_values(plan.t_grid, vals["lhs"][0])
     x_sq = float((x * x).sum())
     rhs = x_sq + k_const * series.t
     allowed = rhs * 1.05 + 2.0 * series.stderr
@@ -368,20 +389,16 @@ def feller_modulus_estimate(
 ):
     """Synchronous-coupling modulus: mean of sup_{s≤t} e^{-4∫‖X‖²}|X−X'|²
     must scale like |v−v'|² (ratio stable within factor 4 across two decades
-    of |v−v'|)."""
+    of |v−v'|).  The pairs of every scale are one stacked run."""
     v = np.asarray(v, dtype=float)
     gap = np.asarray(v_prime, dtype=float) - v
     t_max = float(plan.t_grid[-1])
+    vals = _pair_values(
+        model, plan, v, np.stack([v + s * gap for s in scales]), "feller_modulus",
+        sup=True, correction=False,
+    )
     ratios = []
-    for s in scales:
-        vp = v + s * gap
-        vsq = _SqNormIntegral(model.basis.eigenvalues)
-        vals = _run_captured(
-            model, plan, v, f"feller_scale_{s}",
-            {}, sups={"sup": _chan_weighted_gap(vsq, 4.0, 2)},
-            y0_rows=vp, correction=False, integrals=[vsq],
-        )
-        sup_vals = vals["sup"][:, -1]
+    for s, sup_vals in zip(scales, vals["sup"][:, :, -1]):
         gap_sq = float(h_norm_arr(s * gap) ** 2)
         ratios.append(float(sup_vals.mean()) / gap_sq if gap_sq > 0.0 else 0.0)
     if max(ratios) == 0.0:
@@ -403,11 +420,8 @@ def coupled_distance_series(
     model: ModelSpec, x, y, plan: MonteCarloPlan, p: DistanceParams, seed_tag=None
 ) -> EstimateSeries:
     """E d(X(t), Y(t)) over the steered coupling at every grid time."""
-    vals = _run_captured(
-        model, plan, np.asarray(x, float), seed_tag or "coupled_distance",
-        {"d": _chan_d_gap(p)}, y0_rows=np.asarray(y, float),
-    )
-    return _series_from_values(plan.t_grid, vals["d"])
+    vals = _pair_values(model, plan, x, y, seed_tag or "coupled_distance")
+    return _series_from_values(plan.t_grid, _distance(vals, p)[0])
 
 
 def wasserstein_upper(
@@ -423,25 +437,12 @@ def wasserstein_upper(
 
 
 def _sample_pairs(rng, n_pairs, m, center_radius, gap_lo, gap_hi):
-    from .dynamics import sample_ball
-
     xs = sample_ball(rng, n_pairs, m, radius=center_radius)
     dirs = rng.standard_normal((n_pairs, m))
     dirs /= np.maximum(h_norm_arr(dirs), 1e-300)[:, None]
     lens = gap_lo + (gap_hi - gap_lo) * rng.random(n_pairs)
     ys = xs + dirs * lens[:, None]
     return xs, ys
-
-
-def _pair_distance_stats(model, plan, xs, ys, p: DistanceParams, seed_tag):
-    """Mean and stderr of d(X(t), Y(t)) over plan.n_paths steered pairs from
-    each start pair (xs[i], ys[i]): two (pairs, G) arrays over plan.t_grid."""
-    vals = _run_captured(
-        model, plan, np.repeat(xs, plan.n_paths, axis=0), seed_tag,
-        {"d": _chan_d_gap(p)}, y0_rows=np.repeat(ys, plan.n_paths, axis=0),
-    )
-    per_pair = vals["d"].reshape(xs.shape[0], plan.n_paths, -1)
-    return per_pair.mean(axis=1), per_pair.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)
 
 
 def contraction_check(
@@ -469,8 +470,9 @@ def contraction_check(
         raise ValidationError("sampled pairs must have 0 < d(x,y) < 1")
 
     sub = MonteCarloPlan(plan.n_paths, grid, plan.base_seed, plan.cfg, plan.model_id)
-    mean, se = _pair_distance_stats(model, sub, xs, ys, p, "contraction_check")
-    ratios = (mean + 2.0 * se) / d0[:, None]
+    d = _distance(_pair_values(model, sub, xs, ys, "contraction_check"), p)
+    se = d.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)
+    ratios = (d.mean(axis=1) + 2.0 * se) / d0[:, None]
     worst = ratios.max(axis=0)  # per grid time
     hits = np.nonzero(worst <= 2.0 / 3.0)[0]
     if hits.size:
@@ -507,13 +509,11 @@ def d_small_check(
     rng = np.random.default_rng(derive_seed(plan.base_seed, "d_small_pairs"))
     m = model.dim
     radius = min(1.0, float(np.sqrt(max(m_level, 0.0))))
-    from .dynamics import sample_ball
-
     xs = sample_ball(rng, n_pairs, m, radius=radius)
     ys = sample_ball(rng, n_pairs, m, radius=radius)
     sub = MonteCarloPlan(plan.n_paths, np.array([t]), plan.base_seed, plan.cfg, plan.model_id)
-    mean, se = _pair_distance_stats(model, sub, xs, ys, p, "d_small_check")
-    sup = float(np.max(mean + 2.0 * se))
+    d = _distance(_pair_values(model, sub, xs, ys, "d_small_check"), p)
+    sup = float(np.max(d.mean(axis=1) + 2.0 * d.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)))
     eps = 1.0 - sup
     verdict = Verdict(
         name="d_small",
@@ -594,8 +594,6 @@ def occupation_sampler(
     """Trajectory snapshots every `thin` steps on [T_burn, T_burn + T_avg],
     equal weights, plus the running time average of ‖X‖² against its
     Lipschitz-constant bound."""
-    from .dynamics import _as_batch_x0
-
     x0 = _as_batch_x0(model, np.asarray(x, dtype=float))
     burn_steps = n_steps_for(t_burn, cfg.dt)
     avg_steps = n_steps_for(t_avg, cfg.dt)
@@ -788,11 +786,16 @@ def run_ergodicity_battery(
     if not h1.passed:
         warnings.warn("spectral-gap condition fails for this model")
 
-    wseries, wbound, v = weighted_contraction_estimate(model, x, y, plan)
+    # one steered run from (x, y) feeds the weighted contraction, the fourth
+    # moment, the coupled distance and the shift cost (β needs σ's pseudo-inverse)
+    shift = ShiftRecorder() if h1.pinv_ok else None
+    steered = _pair_values(model, plan, x, y, "steered_pair", vint=True, shift=shift)
+
+    wseries, wbound, v = _weighted_contraction(model, x, y, plan, steered)
     verdicts.append(v)
     series_out["weighted_contraction"] = (wseries, wbound)
 
-    fseries, _, v = fourth_moment_estimate(model, x, y, plan)
+    fseries, _, v = _fourth_moment(x, y, plan, steered)
     verdicts.append(v)
     series_out["fourth_moment"] = (fseries, None)
 
@@ -829,7 +832,7 @@ def run_ergodicity_battery(
             )
         )
 
-    dseries = coupled_distance_series(model, x, y, plan, dist)
+    dseries = _series_from_values(plan.t_grid, _distance(steered, dist)[0])
     series_out["coupled_distance"] = (dseries, None)
     try:
         fit = fit_exponential_rate(dseries)
@@ -849,14 +852,6 @@ def run_ergodicity_battery(
                     detail=f"rate fit unavailable: {exc}")
         )
 
-    # shift cost statistic (the coupling-cost proxy reported instead of a
-    # total-variation certificate); 0 when β is undefined
-    cost_mean = 0.0
-    if model.noise.pseudo_inverse_floor(model.coupling_n) is not None:
-        shift = ShiftRecorder()
-        _run_captured(model, plan, x, "shift_cost", {}, y0_rows=y, integrals=[shift])
-        cost_mean = float(shift.cost.mean())
-
     lam_next = float(model.basis.eigenvalues[model.coupling_n])
     c1 = model.lipschitz_c1
     notes = (
@@ -874,7 +869,9 @@ def run_ergodicity_battery(
         lyapunov_k=lyap["K"],
         distance=dist,
         delta_exponent=expo,
-        shift_cost_mean=cost_mean,
+        # the coupling-cost proxy reported instead of a total-variation
+        # certificate; NaN when β is undefined
+        shift_cost_mean=float(shift.cost.mean()) if shift else float("nan"),
         notes=notes,
     )
     return report, series_out
@@ -894,7 +891,7 @@ def write_series_csv(path, series: EstimateSeries, bound=None) -> None:
 
 
 def write_report_text(path, report: ErgodicityReport) -> None:
-    lines = ["ergodicity report", "=" * 18, ""]
+    lines = ["ergodicity report", "=" * 18, "", f"battery_version = {BATTERY_VERSION}"]
     lines.append(f"fitted_rate r = {report.fitted_rate!r}")
     lines.append(f"fitted_constant C = {report.fitted_constant!r}")
     lines.append(f"fit r_squared = {report.r_squared!r}")

@@ -48,20 +48,15 @@ def gaussian_increments(
     """k i.i.d. N(0, dt) draws, a pure function of (seed, path_index, step).
 
     Distinct tuples read disjoint stretches of the keystream and are
-    therefore independent.
+    therefore independent.  This is the one-row case of gaussian_block.
     """
-    if k <= 0:
-        return np.zeros(0)
-    stride = _stride_blocks(k)
-    block = (path_index << _PATH_SHIFT) + step * stride
-    raw = _raw_words(seed, block, 4 * stride)
-    return _words_to_normals(raw)[:k] * math.sqrt(dt)
+    return gaussian_block(seed, path_index, step, 1, k, dt)[0]
 
 
 def gaussian_block(
     seed: int, path_index: int, step0: int, n_steps: int, k: int, dt: float
 ) -> np.ndarray:
-    """(n_steps, k) array whose row j equals gaussian_increments(..., step0+j, k, dt).
+    """(n_steps, k) array whose row j is the k draws of step step0 + j.
 
     Single keystream read; used by the batch engine to amortize generator
     setup across a chunk of steps.

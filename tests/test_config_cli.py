@@ -133,6 +133,28 @@ def test_unimplemented_choice_rejected_with_line(section, key, value):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[model]\nkind = nse\n[nse]\nkappa = 1\nforcing = 0:0.05\n",
+        "[model]\nkind = nse\n[nse]\nkappa = 1\nforcing = 9:0.05\n",
+        "[model]\nkind = nse\n[nse]\nkappa = 1\nforcing = 1-0.05\n",
+        "[model]\nkind = nse\n[nse]\nkappa = 1\nforcing = 1:abc\n",
+        "[model]\ncoupling_n = 2\n[basis]\nm = 4\n[bilinear]\nentries = 1:2:x:0.1\n",
+        "[model]\ncoupling_n = 2\n[basis]\nm = 4\n[drift]\nkind = affine\nscale = 2.0,1\n",
+        "[model]\ncoupling_n = 2\n[basis]\nm = 4\n[noise]\ns = 0.1,abc,0.1,0.1\n",
+    ],
+    ids=["forcing_index_0", "forcing_index_9", "forcing_no_colon", "forcing_not_a_number",
+         "entries_not_an_index", "drift_scale_length", "noise_s_not_a_number"],
+)
+def test_bad_list_value_is_config_error_with_line(tmp_path, capsys, text):
+    # the list value sits on line 5 or 6, the last line of each config
+    line = text.count("\n")
+    cfg = _write(tmp_path, text)
+    assert main(["verify-model", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: line {line}: [" in capsys.readouterr().err
+
+
 def test_violations_are_collected():
     bad = "[stepper]\ndtt = 1\nscheme = nonsense\n[model]\nkind = weird\n"
     with pytest.raises(ConfigError) as err:

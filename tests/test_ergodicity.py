@@ -545,3 +545,56 @@ def test_plan_with_matching_model_id_runs():
                           model_id=model.model_id)
     series, verdict, _ = lyapunov_check(model, _e(model.dim, 0, 0.1), plan)
     assert verdict.passed
+
+
+# battery -------------------------------------------------------------------
+
+
+def test_battery_steps_each_start_pair_once(monkeypatch):
+    # 8 runs: one steered pair from (x, y) for four estimators,
+    # exp-integrability, Lyapunov, Feller's stacked scales, contraction,
+    # d-smallness, the occupation chain and the invariance restarts
+    import see_lab.ergodicity as erg
+
+    calls = []
+    inner = erg.run_paths
+
+    def counted(model, cfg, x0, n_steps, seed, path_indices, recorders=(), y0=None,
+                correction=True):
+        calls.append((x0.copy(), None if y0 is None else np.array(y0), correction))
+        return inner(model, cfg, x0, n_steps, seed, path_indices, recorders, y0, correction)
+
+    monkeypatch.setattr(erg, "run_paths", counted)
+    model = benchmark_model()
+    plan = MonteCarloPlan(4, np.array([0.02, 0.04, 0.06]), 7, StepperConfig(dt=1e-2))
+    x, y = _e(model.dim, 0, 0.5), _e(model.dim, 0, -0.5)
+    _quiet(erg.run_ergodicity_battery, model, plan, x=x, y=y, occupation=True)
+    assert len(calls) == 8
+    steered = [
+        c for c in calls
+        if c[1] is not None and c[2] and np.all(c[0] == x) and np.all(c[1] == y)
+    ]
+    assert len(steered) == 1
+
+
+def test_battery_shift_cost_nan_without_pseudo_inverse(tmp_path):
+    # c_min = 0: σ has no pseudo-inverse on the coupled modes, so β and its
+    # cost are undefined and the summary says nan rather than 0.0
+    from see_lab.ergodicity import run_ergodicity_battery, save_battery_outputs
+
+    m = 8
+    model = build_model(
+        basis=quadratic_basis(m, 4.0),
+        drift=linear_decay_drift(0.3),
+        bilinear=zero_form(),
+        noise=diag_affine_noise(np.full(m, 0.05), c_min=0.0),
+        lipschitz_c1=0.5,
+        coupling_n=3,
+    )
+    assert model.noise.pseudo_inverse_floor(model.coupling_n) is None
+    report, series = _quiet(run_ergodicity_battery, model, _plan(n_paths=4), occupation=False)
+    assert np.isnan(report.shift_cost_mean)
+    save_battery_outputs(tmp_path, report, series)
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "girsanov shift cost (mean int ||beta||^2 dt) = nan\n" in summary
+    assert "battery_version = 2\n" in summary

@@ -1,6 +1,7 @@
 """Golden SHA-256 digests of the noise stream, of one trajectory per
-built-in model kind, of steered coupled runs, of a small estimator battery,
-and of the `see-lab simulate` and `see-lab couple` output trees.
+built-in model kind, of steered coupled runs, of the standalone estimators,
+of a small estimator battery, and of the `see-lab simulate` and `see-lab
+couple` output trees.
 
 A change that keeps results bit-identical leaves every digest here as it is.
 A change that moves any bit of a pinned output must update its digest and
@@ -8,6 +9,7 @@ say in CHANGES.md why the output moved.
 """
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -138,7 +140,9 @@ def test_cli_output_tree_digest(tmp_path):
     assert h.hexdigest() == CLI_TREE_SHA256
 
 
-BATTERY_SHA256 = "db3a4eb446c9dfc7de3558c47e6e754c62fb40ad9b7116a1609ae66ee5cbc3dd"
+# battery_version 2: the steered pair from (x, y) runs once under the tag
+# "steered_pair", and Feller's three scales are one run
+BATTERY_SHA256 = "1b1e455f618380a60d243cc1d3c07fabe64101b4c091ebb1ece22e5365cf4e0f"
 
 
 def test_battery_digest():
@@ -160,3 +164,62 @@ def test_battery_digest():
         s = series[name][0]
         h.update(name.encode() + _sha256(s.mean, s.stderr).encode())
     assert h.hexdigest() == BATTERY_SHA256
+
+
+STANDALONE_ESTIMATOR_SHA256 = "1255521bbbf054ea1470398f341c89667ac7d4d5b123f4472f9eb22d432347e5"
+
+
+def test_standalone_estimator_digest():
+    # each standalone estimator under its own seed tag, on the three generic
+    # built-in models and both ball schemes: series, bounds, verdicts and the
+    # returned constants
+    from see_lab.coupling import DistanceParams, select_delta
+    from see_lab.ergodicity import (
+        EstimateSeries,
+        MonteCarloPlan,
+        Verdict,
+        contraction_check,
+        coupled_distance_series,
+        d_small_check,
+        exp_integrability_estimate,
+        fourth_moment_estimate,
+        lyapunov_check,
+        wasserstein_upper,
+        weighted_contraction_estimate,
+    )
+
+    def put(*items):
+        for it in items:
+            if isinstance(it, EstimateSeries):
+                h.update(_sha256(it.t, it.mean, it.stderr).encode())
+            elif isinstance(it, Verdict):
+                h.update(repr((it.name, it.passed, it.margin, it.detail)).encode())
+            elif isinstance(it, np.ndarray):
+                h.update(_sha256(it).encode())
+            else:
+                h.update(repr(it).encode())
+
+    h = hashlib.sha256()
+    for name in ("default", "benchmark", "boundary_active"):
+        for scheme in ("projected", "penalized"):
+            model, x = _golden_case(name)
+            y = -0.6 * x[::-1]
+            plan = MonteCarloPlan(
+                n_paths=6, t_grid=np.arange(1, 4) * 0.01, base_seed=13,
+                cfg=StepperConfig(dt=1e-3, scheme=scheme),
+            )
+            delta = select_delta(model)[0]
+            dist = DistanceParams(n_tilde=1.0, delta=delta)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                put(name, scheme)
+                put(*weighted_contraction_estimate(model, x, y, plan))
+                put(*fourth_moment_estimate(model, x, y, plan))
+                put(*exp_integrability_estimate(model, x, delta, plan))
+                series, verdict, consts = lyapunov_check(model, x, plan)
+                put(series, verdict, sorted(consts.items()))
+                put(coupled_distance_series(model, x, y, plan, dist))
+                put(wasserstein_upper(model, x, y, 0.02, plan, dist))
+                put(*contraction_check(model, plan, dist, n_pairs=5))
+                put(*d_small_check(model, plan, dist, m_level=1.0, t=0.03, n_pairs=4))
+    assert h.hexdigest() == STANDALONE_ESTIMATOR_SHA256
