@@ -193,18 +193,20 @@ def _colon_items(raw: str, n_idx: int, dim: int) -> list:
     return out
 
 
-def _check_colon_items(cfg, section, key, n_idx, dim, violations):
+def _check_colon_items(cfg, section, key, n_idx, dim, violations) -> list:
+    """The parsed items of a colon list, or [] after adding a violation."""
     raw = cfg.get(section, key)
     if not raw:
-        return
+        return []
     try:
-        _colon_items(raw, n_idx, dim)
+        return _colon_items(raw, n_idx, dim)
     except ValueError as exc:
         form = ":".join(["i"] * n_idx)
         violations.append(
             f"line {cfg.values[(section, key)][1]}: [{section}] {key} items must be "
             f"{form}:c with each i in 1..{dim} and c a number, got {str(exc)!r}"
         )
+        return []
 
 
 def resolve_t_grid(cfg) -> np.ndarray:
@@ -264,7 +266,12 @@ def _validate(cfg: ExperimentConfig, violations: list):
             if np.any(np.abs(steps * dt - grid) > 1e-9):
                 violations.append("[plan] dt must divide every t_grid time within 1e-9")
     if kind == "generic":
-        _check_colon_items(cfg, "bilinear", "entries", 3, m, violations)
+        for i, j, k, _ in _check_colon_items(cfg, "bilinear", "entries", 3, m, violations):
+            if j == k:
+                violations.append(
+                    f"line {cfg.values[('bilinear', 'entries')][1]}: [bilinear] entries "
+                    f"item {i + 1}:{j + 1}:{k + 1} has j == k; the form is skew in (j, k)"
+                )
         for key in ("rate", "shift", "scale"):
             vals = _float_list(cfg, "drift", key, violations)
             if vals is not None and vals.size not in (1, m):
@@ -272,7 +279,12 @@ def _validate(cfg: ExperimentConfig, violations: list):
                     f"line {cfg.values[('drift', key)][1]}: [drift] {key} needs 1 or "
                     f"{m} numbers, got {vals.size}"
                 )
-        _float_list(cfg, "noise", "s", violations)
+        amps = _float_list(cfg, "noise", "s", violations)
+        if amps is not None and amps.size != m:
+            violations.append(
+                f"line {cfg.values[('noise', 's')][1]}: [noise] s needs {m} numbers, "
+                f"one per basis mode, got {amps.size}"
+            )
     elif kind == "nse":
         from .nse import build_fourier_grid
 

@@ -35,6 +35,13 @@ from .rng import gaussian_block
 from .spectral import TOL_BALL, StateVector, h_norm_arr
 
 _NOISE_CHUNK_TARGET = 8_000_000  # floats per pregenerated noise chunk
+# glibc raises its mmap threshold to the size of each freed mmapped block of
+# up to 32 MiB, and later blocks below that threshold stay resident on the
+# heap.  A chunk between 12.8 MB and 32 MiB (a short run, such as one grid
+# segment of contraction_check) is cut to 12.8 MB, so that it does not lift
+# the threshold above the 12.8 MB chunks of the battery's 100-path runs.
+_NOISE_CHUNK_SMALL = 1_600_000  # floats
+_MMAP_CEILING = 2**22  # floats in 32 MiB
 
 
 @dataclass(frozen=True)
@@ -209,6 +216,7 @@ def run_paths(
     recorders=(),
     y0: np.ndarray | None = None,
     correction: bool = True,
+    step0: int = 0,
 ):
     """Advance a batch of paths (optionally coupled pairs) for n_steps.
 
@@ -218,6 +226,11 @@ def run_paths(
         the Brownian increments of X row i.  With correction=True the Y rows
         get the extra drift (λ_{N+1}/2) P_N (X − Y); correction=False gives
         the plain synchronous coupling.
+    step0: the step counter at x0.  Local step k reads the noise of step
+        step0 + k, and DivergedError reports absolute steps and times, so a
+        run resumes from the states it returned: run(0 → a) followed by
+        run(a → b, step0=a) equals run(0 → b) bit for bit.  Recorders see
+        local step indices.
 
     Returns (x_final, y_final) where y_final is None for single runs.
     """
@@ -231,6 +244,8 @@ def run_paths(
         or (coupled and np.shape(y0) != (p, m))
     ):
         raise ValidationError("x0 (and y0) must be (P, M) matching path_indices length")
+    if step0 < 0:
+        raise ValidationError("step0 must be nonnegative")
     dt = cfg.dt
     step = _kernel(model, cfg, p, coupled, correction)
 
@@ -242,6 +257,8 @@ def run_paths(
         rec.begin(rt)
 
     chunk = max(1, min(n_steps, _NOISE_CHUNK_TARGET // max(p * m, 1)))
+    if _NOISE_CHUNK_SMALL < chunk * p * m <= _MMAP_CEILING:
+        chunk = max(1, _NOISE_CHUNK_SMALL // (p * m))
 
     for k in range(n_steps):
         if k % chunk == 0:
@@ -249,11 +266,11 @@ def run_paths(
             rows = min(chunk, n_steps - k)
             noise = np.empty((p, rows, m))
             for row, pi in enumerate(path_indices):
-                noise[row] = gaussian_block(seed, int(pi), k, rows, m, dt)
+                noise[row] = gaussian_block(seed, int(pi), step0 + k, rows, m, dt)
         dw = noise[:, k % chunk, :]
 
         s, tilde, rho, r = step(s, diag, dw)
-        _check_finite(model, s, r, path_indices, k + 1, dt)
+        _check_finite(model, s, r, path_indices, step0 + k + 1, dt)
         diag = model.noise.diag_batch(s)
 
         rt.k = k

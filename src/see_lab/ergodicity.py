@@ -455,6 +455,10 @@ def contraction_check(
     """Find the smallest grid time t0 at which the coupled-pair distance
     ratio (mean + 2se)/d(x,y) is ≤ 2/3 for every sampled pair with d < 1.
 
+    The pairs are stepped as one stacked run, one grid segment at a time
+    (run_paths resumed with step0), and stepping stops at t0: a path that
+    would only diverge after t0 is never stepped there.
+
     Returns (verdict, t0 or None, alpha) where alpha is the worst ratio at t0.
     """
     grid = np.asarray(t0_search_grid if t0_search_grid is not None else plan.t_grid,
@@ -470,21 +474,34 @@ def contraction_check(
         raise ValidationError("sampled pairs must have 0 < d(x,y) < 1")
 
     sub = MonteCarloPlan(plan.n_paths, grid, plan.base_seed, plan.cfg, plan.model_id)
-    d = _distance(_pair_values(model, sub, xs, ys, "contraction_check"), p)
-    se = d.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)
-    ratios = (d.mean(axis=1) + 2.0 * se) / d0[:, None]
-    worst = ratios.max(axis=0)  # per grid time
-    hits = np.nonzero(worst <= 2.0 / 3.0)[0]
-    if hits.size:
-        j = int(hits[0])
-        t0, alpha = float(grid[j]), float(worst[j])
-        verdict = Verdict(
-            name="contraction",
-            passed=True,
-            margin=float(2.0 / 3.0 - alpha),
-            detail=f"(mean+2se)/d <= 2/3 for all {n_pairs} pairs at t0={t0:.4g}",
-        )
-        return verdict, t0, alpha
+    plan.check_model(model)
+    seed = derive_seed(plan.base_seed, "contraction_check")
+    x, y = (np.repeat(a, plan.n_paths, axis=0) for a in (xs, ys))
+    path_indices = np.arange(x.shape[0])  # path i of pair s is s * n_paths + i
+    # g2 = |X − Y|²_H per pair, path and grid time; the reductions run over
+    # the whole (S, n_paths, G) array, so each column sums in the same order
+    # whether or not the later columns are filled yet
+    g2 = np.zeros((n_pairs, plan.n_paths, grid.size))
+    done = 0
+    for j, step in enumerate(sub.grid_steps):
+        x, y = run_paths(model, plan.cfg, x, int(step) - done, seed, path_indices,
+                         y0=y, step0=done)
+        done = int(step)
+        gap = x - y
+        g2[:, :, j] = (gap * gap).sum(axis=1).reshape(n_pairs, plan.n_paths)
+        d = d_distance_arr(np.sqrt(g2), p)
+        se = d.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)
+        ratios = (d.mean(axis=1) + 2.0 * se) / d0[:, None]
+        worst = ratios.max(axis=0)  # per grid time
+        if worst[j] <= 2.0 / 3.0:
+            t0, alpha = float(grid[j]), float(worst[j])
+            verdict = Verdict(
+                name="contraction",
+                passed=True,
+                margin=float(2.0 / 3.0 - alpha),
+                detail=f"(mean+2se)/d <= 2/3 for all {n_pairs} pairs at t0={t0:.4g}",
+            )
+            return verdict, t0, alpha
     verdict = Verdict(
         name="contraction",
         passed=False,

@@ -143,12 +143,17 @@ def test_unimplemented_choice_rejected_with_line(section, key, value):
         "[model]\ncoupling_n = 2\n[basis]\nm = 4\n[bilinear]\nentries = 1:2:x:0.1\n",
         "[model]\ncoupling_n = 2\n[basis]\nm = 4\n[drift]\nkind = affine\nscale = 2.0,1\n",
         "[model]\ncoupling_n = 2\n[basis]\nm = 4\n[noise]\ns = 0.1,abc,0.1,0.1\n",
+        "[model]\ncoupling_n = 2\n[basis]\nm = 4\n[bilinear]\nkind = skew_shear\n"
+        "entries = 1:2:2:0.1\n",
+        "[model]\ncoupling_n = 2\n[basis]\nm = 4\n[noise]\ns = 0.1,0.1\n",
     ],
     ids=["forcing_index_0", "forcing_index_9", "forcing_no_colon", "forcing_not_a_number",
-         "entries_not_an_index", "drift_scale_length", "noise_s_not_a_number"],
+         "entries_not_an_index", "drift_scale_length", "noise_s_not_a_number",
+         "entries_j_equals_k", "noise_s_length"],
 )
 def test_bad_list_value_is_config_error_with_line(tmp_path, capsys, text):
-    # the list value sits on line 5 or 6, the last line of each config
+    # the list value sits on the last line of each config; values that parse
+    # but that the model builder would reject are config errors too
     line = text.count("\n")
     cfg = _write(tmp_path, text)
     assert main(["verify-model", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -281,6 +281,64 @@ def test_coupled_rows_independent_of_batch(scheme):
             assert np.array_equal(small.increments, big.increments[picks]), name
 
 
+def _run_segments(model, cfg, xs, ys, bounds, correction):
+    """run_paths over the segments [bounds[i], bounds[i+1]), each resumed
+    from the states the last one returned; returns the stacked X (and Y)
+    trajectories and local-time increments of the whole run."""
+    from see_lab.dynamics import TrajectoryRecorder, run_paths
+
+    idx = np.array([2, 7, 8, 40])
+    states, incs = [], []
+    x, y = xs, ys
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        recs = [TrajectoryRecorder("x")] + ([TrajectoryRecorder("y")] if ys is not None else [])
+        x, y = run_paths(model, cfg, x, b - a, 5, idx, recorders=recs, y0=y,
+                         correction=correction, step0=a)
+        states.append(np.concatenate([r.states[:, 1:] for r in recs]))
+        incs.append(np.concatenate([r.increments for r in recs]))
+    return np.concatenate(states, axis=1), np.concatenate(incs, axis=1)
+
+
+@pytest.mark.parametrize("scheme", ["projected", "penalized"])
+@pytest.mark.parametrize("chunk_target", [None, 7 * 4 * 12])
+def test_resumed_segments_equal_one_run(monkeypatch, scheme, chunk_target):
+    # run(0 -> 23) then run(23 -> 60, step0=23) equals run(0 -> 60) bit for
+    # bit: single runs and coupled pairs with and without the steering
+    # correction, every built-in model kind.  Step 23 falls inside a noise
+    # chunk of the one run: its only chunk by default, and one of 3 to 10
+    # steps (23 is prime) with the small chunk target
+    import see_lab.dynamics as dyn
+
+    if chunk_target is not None:
+        monkeypatch.setattr(dyn, "_NOISE_CHUNK_TARGET", chunk_target)
+    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    rng = np.random.default_rng(17)
+    for name, model, x0 in _builtin_cases():
+        xs = np.repeat(x0[None, :], 4, axis=0)
+        ys = rng.standard_normal((4, model.dim))
+        ys *= rng.uniform(0.2, 1.0, (4, 1)) / h_norm_arr(ys)[:, None]
+        for y0, correction in ((None, True), (ys, True), (ys, False)):
+            one = _run_segments(model, cfg, xs, y0, [0, 60], correction)
+            split = _run_segments(model, cfg, xs, y0, [0, 23, 60], correction)
+            assert np.array_equal(one[0], split[0]), (name, y0 is None, correction)
+            assert np.array_equal(one[1], split[1]), (name, y0 is None, correction)
+
+
+def test_resumed_run_reports_absolute_divergence_step():
+    from see_lab.dynamics import run_paths
+
+    model = _overflow_model()
+    xs = np.zeros((2, 8))
+    xs[1, 0] = 1.0  # overflows in the first step it takes
+    with pytest.raises(DivergedError) as err:
+        run_paths(model, StepperConfig(dt=1e-3), xs, 5, 5, [10, 20], step0=40)
+    e = err.value
+    assert (e.path_index, e.step) == (20, 41)
+    assert e.t == pytest.approx(0.041, abs=1e-15)
+    with pytest.raises(ValidationError):
+        run_paths(model, StepperConfig(dt=1e-3), xs, 5, 5, [10, 20], step0=-1)
+
+
 def test_zero_noise_decay_bound():
     # |X(t)| <= |x0| e^{-lambda_1 t} (1 + 5 dt lambda_M) for the linear model
     model = _noise_free_model(m=6)

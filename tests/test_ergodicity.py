@@ -349,6 +349,31 @@ def test_contraction_check_noise_free_analytic_t0():
     assert first_feasible <= t0 <= last_needed
 
 
+@pytest.mark.parametrize("grid,t0", [((0.1, 0.2, 0.3), 0.1), ((0.001, 0.002, 0.003), None)])
+def test_contraction_check_stops_at_t0(monkeypatch, grid, t0):
+    # stepping stops at the first grid time that contracts; with no such time
+    # the whole grid runs.  `steps` gets the pair-steps P * n_steps of each call
+    import see_lab.ergodicity as erg
+
+    steps = []
+    inner = erg.run_paths
+
+    def counted(model, cfg, x0, n_steps, *args, **kwargs):
+        steps.append(x0.shape[0] * n_steps)
+        return inner(model, cfg, x0, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(erg, "run_paths", counted)
+    model = benchmark_model()
+    p = DistanceParams(n_tilde=1.0, delta=0.25)
+    n_pairs, n_paths = 5, 4
+    plan = MonteCarloPlan(n_paths, np.array(grid), 23, StepperConfig(dt=1e-3))
+    verdict, found, _ = contraction_check(model, plan, p, n_pairs=n_pairs)
+    assert found == t0 and verdict.passed == (t0 is not None)
+    last = round((t0 if t0 is not None else grid[-1]) / 1e-3)
+    assert sum(steps) == n_pairs * n_paths * last
+    assert len(steps) == (1 if t0 == grid[0] else len(grid))
+
+
 def test_d_small_degenerate_level_set():
     model = benchmark_model()
     p = DistanceParams(n_tilde=1.0, delta=0.25)
@@ -553,16 +578,20 @@ def test_plan_with_matching_model_id_runs():
 def test_battery_steps_each_start_pair_once(monkeypatch):
     # 8 runs: one steered pair from (x, y) for four estimators,
     # exp-integrability, Lyapunov, Feller's stacked scales, contraction,
-    # d-smallness, the occupation chain and the invariance restarts
+    # d-smallness, the occupation chain and the invariance restarts.  Only
+    # calls with step0 == 0 start a run: contraction_check resumes its run
+    # once per further grid segment
     import see_lab.ergodicity as erg
 
     calls = []
     inner = erg.run_paths
 
     def counted(model, cfg, x0, n_steps, seed, path_indices, recorders=(), y0=None,
-                correction=True):
-        calls.append((x0.copy(), None if y0 is None else np.array(y0), correction))
-        return inner(model, cfg, x0, n_steps, seed, path_indices, recorders, y0, correction)
+                correction=True, **kwargs):
+        if kwargs.get("step0", 0) == 0:  # a run from a start state
+            calls.append((x0.copy(), None if y0 is None else np.array(y0), correction))
+        return inner(model, cfg, x0, n_steps, seed, path_indices, recorders, y0, correction,
+                     **kwargs)
 
     monkeypatch.setattr(erg, "run_paths", counted)
     model = benchmark_model()

@@ -223,3 +223,35 @@ def test_standalone_estimator_digest():
                 put(*contraction_check(model, plan, dist, n_pairs=5))
                 put(*d_small_check(model, plan, dist, m_level=1.0, t=0.03, n_pairs=4))
     assert h.hexdigest() == STANDALONE_ESTIMATOR_SHA256
+
+
+# contraction_check where its search stops before the end of the grid: t0 is
+# the first grid time (benchmark, both schemes), a later grid time (default),
+# and no grid time at all (boundary_active), so the whole grid runs
+CONTRACTION_STOP_SHA256 = "97079ac1636bda96aa5e2f357c4da72e36b88404fbde2e07da7dc5f7eb202ad3"
+
+CONTRACTION_STOP_CASES = (
+    ("benchmark", "projected", 0.1),
+    ("benchmark", "penalized", 0.1),
+    ("default", "projected", 0.01),
+    ("boundary_active", "projected", 0.01),
+)
+
+
+def test_contraction_stop_digest():
+    from see_lab.coupling import DistanceParams, select_delta
+    from see_lab.ergodicity import MonteCarloPlan, contraction_check
+
+    h = hashlib.sha256()
+    for name, scheme, spacing in CONTRACTION_STOP_CASES:
+        model, _ = _golden_case(name)
+        plan = MonteCarloPlan(
+            n_paths=20, t_grid=np.arange(1, 11) * spacing, base_seed=3,
+            cfg=StepperConfig(dt=1e-3, scheme=scheme),
+        )
+        dist = DistanceParams(n_tilde=1.0, delta=select_delta(model)[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            verdict, t0, alpha = contraction_check(model, plan, dist)
+        h.update(repr((name, scheme, verdict, t0, alpha)).encode())
+    assert h.hexdigest() == CONTRACTION_STOP_SHA256
