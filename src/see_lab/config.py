@@ -279,12 +279,7 @@ def _validate(cfg: ExperimentConfig, violations: list):
                     f"line {cfg.values[('drift', key)][1]}: [drift] {key} needs 1 or "
                     f"{m} numbers, got {vals.size}"
                 )
-        amps = _float_list(cfg, "noise", "s", violations)
-        if amps is not None and amps.size != m:
-            violations.append(
-                f"line {cfg.values[('noise', 's')][1]}: [noise] s needs {m} numbers, "
-                f"one per basis mode, got {amps.size}"
-            )
+        _check_noise(cfg, m, n, violations)
     elif kind == "nse":
         from .nse import build_fourier_grid
 
@@ -308,6 +303,48 @@ def _validate(cfg: ExperimentConfig, violations: list):
                 violations.append("[distance] delta must lie in (0,1) or be auto")
         except ValueError:
             violations.append(f"[distance] delta must be a number or auto, got {delta!r}")
+
+
+def _line(cfg, section, *keys) -> int:
+    """The last line among the keys set in `section`."""
+    return max(cfg.values.get((section, k), ("", 0))[1] for k in keys)
+
+
+def _check_noise(cfg, m, n, violations):
+    """The [noise] values that diag_affine_noise and build_model reject."""
+    n_before = len(violations)
+    amps = _float_list(cfg, "noise", "s", violations)
+    sigma0 = _float(cfg, "noise", "sigma0", violations)
+    g_lo = _float(cfg, "noise", "g_lo", violations)
+    g_hi = _float(cfg, "noise", "g_hi", violations)
+    c_min = _float(cfg, "noise", "c_min", violations) if cfg.has("noise", "c_min") else 0.0
+    if len(violations) > n_before or m < 1:
+        return  # a value did not parse, or the basis is empty (coupling_n < m fails)
+    amp_key = "s" if amps is not None else "sigma0"
+    if amps is None:
+        amps = inverse_mode_amplitudes(m, sigma0)
+    elif amps.size != m:
+        violations.append(
+            f"line {_line(cfg, 'noise', 's')}: [noise] s needs {m} numbers, "
+            f"one per basis mode, got {amps.size}"
+        )
+        return
+    if np.any(amps < 0.0):
+        violations.append(
+            f"line {_line(cfg, 'noise', amp_key)}: [noise] {amp_key} gives negative "
+            f"noise amplitudes (min {float(amps.min())!r})"
+        )
+    if not 0.0 < g_lo <= g_hi:
+        keys = ("g_lo",) if g_lo <= 0.0 else ("g_lo", "g_hi")
+        violations.append(
+            f"line {_line(cfg, 'noise', *keys)}: [noise] need 0 < g_lo <= g_hi, "
+            f"got g_lo = {g_lo!r}, g_hi = {g_hi!r}"
+        )
+    if c_min > 0.0 and np.any(amps[:n] < c_min):
+        violations.append(
+            f"line {_line(cfg, 'noise', amp_key, 'c_min')}: [noise] amplitudes on the "
+            f"coupled modes fall below c_min = {c_min!r} (min {float(amps[:n].min())!r})"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,9 @@ from .spectral import h_norm_arr, validate_h1
 # Version of the battery's seed tags and run layout, printed in summary.txt;
 # it moves whenever battery results move on purpose.  2: one steered run from
 # (x, y) feeds four estimators, and Feller's scales are one stacked run.
-BATTERY_VERSION = 2
+# 3: the occupation measure is 20 chains of T = 1 on the batch axis, with
+# between-chain standard errors.
+BATTERY_VERSION = 3
 
 # ---------------------------------------------------------------------------
 # plans, series, verdicts
@@ -547,34 +549,36 @@ def d_small_check(
 
 @dataclass(frozen=True)
 class OccupationMeasure:
-    states: np.ndarray  # (S, M) thinned snapshots
+    states: np.ndarray  # (S, M) thinned snapshots, chain-major
     weights: np.ndarray  # (S,) equal, sums to 1
     mean_coeffs: np.ndarray  # (M,)
     second_moments: np.ndarray  # (M,) per-mode E[X_i²]
-    se_mean: np.ndarray  # batch-means standard errors
+    se_mean: np.ndarray  # batch means (one chain) or between-chain standard errors
     se_second: np.ndarray
-    vsq_time_average: float  # (1/T)∫₀ᵀ ‖X‖² ds over the full run
+    vsq_time_average: float  # chain mean of (1/T)∫₀ᵀ ‖X‖² ds over the full run
     vsq_bound: float  # 2(|f₀|² + |σ₀|² + 2C₁)
     seed: int
+    n_chains: int  # R; chain r holds states[r * S/R : (r + 1) * S/R]
+    rhat: np.ndarray  # (M,) split-R̂ of X_i² over the chains' halves
 
 
 class _SnapshotRecorder:
-    """Thinned snapshots of one chain after burn-in, and its running ∫‖X‖²_V
-    ds.  The integral is kept here, not in a second recorder: the chain steps
-    one path, so every call per step shows in its time."""
+    """Thinned snapshots of every chain (batch row) after burn-in, and each
+    chain's running ∫‖X‖²_V ds.  The integral is kept here, not in a second
+    recorder, so the chains pay for one recorder call per step."""
 
-    def __init__(self, burn_steps, thin, n_snaps, m):
+    def __init__(self, burn_steps, thin, n_snaps, n_chains, m):
         self.burn = burn_steps
         self.thin = thin
-        self.rows = np.empty((n_snaps, m))
+        self.rows = np.empty((n_snaps, n_chains, m))
         self.count = 0
 
     def begin(self, rt):
         self._lam, self._half_dt = rt.model.basis.eigenvalues, 0.5 * rt.dt
         self._vsq = (self._lam * rt.state * rt.state).sum(axis=1)
-        self.vsq_trapz = np.zeros(1)
+        self.vsq_trapz = np.zeros(rt.p)
         if self.burn == 0:
-            self.rows[self.count] = rt.state[0]
+            self.rows[self.count] = rt.state
             self.count += 1
 
     def on_step(self, rt):
@@ -584,7 +588,7 @@ class _SnapshotRecorder:
         k1 = rt.k + 1
         if k1 >= self.burn and (k1 - self.burn) % self.thin == 0:
             if self.count < self.rows.shape[0]:
-                self.rows[self.count] = rt.state[0]
+                self.rows[self.count] = rt.state
                 self.count += 1
 
 
@@ -599,6 +603,42 @@ def batch_means_se(samples: np.ndarray, n_batches: int = 20) -> np.ndarray:
     return means.std(axis=0, ddof=1) / np.sqrt(nb)
 
 
+def _chain_blocks(samples: np.ndarray, n_chains: int) -> np.ndarray:
+    """(S,) or (S, M) chain-major samples -> (R, S/R, M)."""
+    s = np.atleast_2d(samples.T).T
+    return s.reshape(n_chains, -1, s.shape[1])
+
+
+def occupation_se(samples: np.ndarray, n_chains: int) -> np.ndarray:
+    """Standard error of the pooled mean of chain-major samples: batch means
+    over 20 batches for one chain; for R > 1 independent chains, one batch
+    per chain, i.e. the spread of the R chain means."""
+    if n_chains == 1:
+        return batch_means_se(samples)
+    means = _chain_blocks(samples, n_chains).mean(axis=1)
+    return means.std(axis=0, ddof=1) / np.sqrt(n_chains)
+
+
+def split_rhat(samples: np.ndarray, n_chains: int) -> np.ndarray:
+    """Per-column split-R̂ (Gelman et al., BDA3 §11.4) of chain-major samples.
+
+    Each chain is cut into a first and a last half (the middle draw of an
+    odd-length chain is dropped), and R̂ = sqrt(((n−1)/n W + B/n) / W) over
+    the 2R halves of length n, with W the mean within-half variance and B/n
+    the variance of the half means.  NaN where that ratio is 0/0 (a
+    constant column) and where a half has fewer than 2 draws; inf where
+    only W is 0."""
+    chains = _chain_blocks(samples, n_chains)
+    n = chains.shape[1] // 2
+    if n < 2:
+        return np.full(chains.shape[2], np.nan)
+    halves = np.concatenate([chains[:, :n], chains[:, chains.shape[1] - n:]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = halves.var(axis=1, ddof=1).mean(axis=0)
+        b_over_n = halves.mean(axis=1).var(axis=0, ddof=1)
+        return np.sqrt(((n - 1) / n * w + b_over_n) / w)
+
+
 def occupation_sampler(
     model: ModelSpec,
     x,
@@ -607,17 +647,31 @@ def occupation_sampler(
     thin: int,
     cfg: StepperConfig,
     seed: int,
+    n_chains: int = 1,
 ) -> OccupationMeasure:
     """Trajectory snapshots every `thin` steps on [T_burn, T_burn + T_avg],
     equal weights, plus the running time average of ‖X‖² against its
-    Lipschitz-constant bound."""
-    x0 = _as_batch_x0(model, np.asarray(x, dtype=float))
+    Lipschitz-constant bound.
+
+    n_chains: R independent chains, all started at x, stepped as the rows of
+    one run with path indices 0..R−1; each burns T_burn and then averages
+    over its own T_avg.  Chain 0 is the one-chain run.  The pooled states
+    are chain-major.  With R = 1 the standard errors are batch means over
+    20 batches of the one series; with R > 1 they are between-chain (one
+    batch per chain).  `rhat` is the split-R̂ of each X_i² over the chains'
+    halves.
+    """
+    if int(n_chains) != n_chains or n_chains < 1:
+        raise ValidationError("n_chains must be a positive integer")
+    n_chains = int(n_chains)
+    x0 = np.repeat(_as_batch_x0(model, np.asarray(x, dtype=float)), n_chains, axis=0)
     burn_steps = n_steps_for(t_burn, cfg.dt)
     avg_steps = n_steps_for(t_avg, cfg.dt)
     n_snaps = avg_steps // thin + 1
-    rec = _SnapshotRecorder(burn_steps, thin, n_snaps, model.dim)
-    run_paths(model, cfg, x0, burn_steps + avg_steps, seed, [0], recorders=[rec])
-    states = rec.rows[: rec.count]
+    rec = _SnapshotRecorder(burn_steps, thin, n_snaps, n_chains, model.dim)
+    run_paths(model, cfg, x0, burn_steps + avg_steps, seed, np.arange(n_chains),
+              recorders=[rec])
+    states = rec.rows[: rec.count].transpose(1, 0, 2).reshape(-1, model.dim)
     second = states * states
     _, k_const = lyapunov_constants(model)
     t_total = (burn_steps + avg_steps) * cfg.dt
@@ -626,11 +680,13 @@ def occupation_sampler(
         weights=np.full(states.shape[0], 1.0 / states.shape[0]),
         mean_coeffs=states.mean(axis=0),
         second_moments=second.mean(axis=0),
-        se_mean=batch_means_se(states),
-        se_second=batch_means_se(second),
-        vsq_time_average=float(rec.vsq_trapz[0]) / t_total,
+        se_mean=occupation_se(states, n_chains),
+        se_second=occupation_se(second, n_chains),
+        vsq_time_average=float((rec.vsq_trapz / t_total).mean()),
         vsq_bound=k_const,
         seed=seed,
+        n_chains=n_chains,
+        rhat=split_rhat(second, n_chains),
     )
 
 
@@ -663,8 +719,8 @@ def invariance_residual(
     """Restart paths from occupation samples, evolve the test horizon, and
     compare E_occ[T_Δφ] with E_occ[φ] for each test function.
 
-    Passes iff every |residual| ≤ 3 × (batch-means) stderr of the paired
-    differences."""
+    Passes iff every |residual| ≤ 3 × stderr of the paired differences:
+    batch means for a one-chain occ, one batch per chain for R > 1."""
     starts = occ.states
     n_steps = n_steps_for(test_horizon, plan.cfg.dt)
     seed = derive_seed(plan.base_seed, "invariance_residual")
@@ -677,7 +733,7 @@ def invariance_residual(
     for name, fn in fns:
         diff = fn(finals) - fn(starts)
         resid = float(np.abs(diff.mean()))
-        se = float(batch_means_se(diff)[0])
+        se = float(occupation_se(diff, occ.n_chains)[0])
         ok = resid <= 3.0 * se + 1e-12
         all_ok &= ok
         rows.append((name, resid, se, ok))
@@ -833,10 +889,16 @@ def run_ergodicity_battery(
     v, eps = d_small_check(model, plan, dist, m_level=1.0, t=float(plan.t_grid[-1]))
     verdicts.append(v)
 
+    occ_note = ()
     if occupation:
+        # total averaging time 20, as 20 independent chains of T = 1
         occ = occupation_sampler(
-            model, np.zeros(m), t_burn=1.0, t_avg=20.0, thin=200,
-            cfg=plan.cfg, seed=derive_seed(plan.base_seed, "occupation"),
+            model, np.zeros(m), t_burn=1.0, t_avg=1.0, thin=200,
+            cfg=plan.cfg, seed=derive_seed(plan.base_seed, "occupation"), n_chains=20,
+        )
+        occ_note = (  # fmax skips NaN modes; all NaN gives nan
+            f"occupation: n_chains={occ.n_chains}, snapshots={occ.states.shape[0]}, "
+            f"max split-R-hat={float(np.fmax.reduce(occ.rhat)):.6g}",
         )
         v, _ = invariance_residual(model, occ, 0.25, 10, plan)
         verdicts.append(v)
@@ -876,7 +938,7 @@ def run_ergodicity_battery(
         f"contraction_bound_exponent_alt = {5.0 * c1 - 0.8 * lam_next:.6g}"
         " (alternate constant set, reported for comparison)",
         f"delta grid search: delta={delta:g}, combined exponent={expo:.6g}",
-    )
+    ) + occ_note
     report = ErgodicityReport(
         fitted_rate=fit.rate,
         fitted_constant=fit.prefactor,

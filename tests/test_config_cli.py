@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +161,38 @@ def test_bad_list_value_is_config_error_with_line(tmp_path, capsys, text):
     cfg = _write(tmp_path, text)
     assert main(["verify-model", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"config error: line {line}: [" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[noise]\ns = 0.1,-0.1,0.1,0.1\n", "[noise] s gives negative noise amplitudes"),
+        ("[noise]\nsigma0 = -0.1\n", "[noise] sigma0 gives negative noise amplitudes"),
+        ("[noise]\ng_lo = 2\ng_hi = 1\n", "[noise] need 0 < g_lo <= g_hi"),
+        ("[noise]\ng_lo = 0\n", "[noise] need 0 < g_lo <= g_hi"),
+        ("[noise]\ns = 0.1,0.01,0.1,0.1\nc_min = 0.05\n",
+         "[noise] amplitudes on the coupled modes fall below c_min"),
+        ("[noise]\nc_min = 0.5\n", "[noise] amplitudes on the coupled modes fall below c_min"),
+    ],
+    ids=["s_negative", "sigma0_negative", "g_lo_above_g_hi", "g_lo_zero", "s_below_c_min",
+         "default_s_below_c_min"],
+)
+def test_noise_value_the_builder_rejects_is_config_error(tmp_path, capsys, text, message):
+    # m = 4, coupling_n = 2; the offending value sits on the last line
+    text = "[model]\ncoupling_n = 2\n[basis]\nm = 4\n" + text
+    line = text.count("\n")
+    cfg = _write(tmp_path, text)
+    assert main(["verify-model", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: line {line}: {message}" in capsys.readouterr().err
+
+
+def test_noise_values_the_builder_accepts_still_build():
+    text = (
+        "[model]\ncoupling_n = 2\n[basis]\nm = 4\n"
+        "[noise]\ns = 0.1,0.05,0.0,0.1\nc_min = 0.05\ng_lo = 0.5\ng_hi = 2\n"
+    )
+    model = build_model_from_config(parse_config_text(text))
+    assert model.noise.c_min == 0.05
 
 
 def test_violations_are_collected():
@@ -355,3 +390,17 @@ def test_nse_forcing_config_round_trip(monkeypatch):
     assert nse_model.forcing[0] == 0.05
     assert nse_model.forcing[2] == -0.02
     assert spec.f0_vstar > 0.0  # nonzero forcing shows up in |f(0)|_V*
+
+
+def test_python_m_see_lab_runs_the_cli(tmp_path):
+    # `python -m see_lab` from a source checkout, without an install
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cfg = _write(tmp_path, MINIMAL)
+    done = subprocess.run(
+        [sys.executable, "-m", "see_lab", "verify-model", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -455,6 +455,95 @@ def test_occupation_weights_sum_to_one():
     assert occ.weights.sum() == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_chains", [1, 3])
+@pytest.mark.parametrize("name", ["benchmark", "boundary_active", "nse_kappa2"])
+def test_occupation_chain_equals_one_chain_run(name, n_chains):
+    # chain r of an R-chain run is path index r of a one-path run, bit for
+    # bit, and the chains' snapshots are stacked chain-major
+    from see_lab.coefficients import boundary_active_model
+    from see_lab.dynamics import simulate_path
+    from see_lab.nse import build_nse_model
+
+    if name == "nse_kappa2":
+        model = build_nse_model(kappa=2, gamma=0.25, sigma0=0.2).spec
+    else:
+        model = benchmark_model() if name == "benchmark" else boundary_active_model()
+    x = _e(model.dim, 0, 1.0 if name == "boundary_active" else 0.6)
+    cfg = StepperConfig(dt=1e-3)
+    burn, thin, n_snaps = 30, 20, 6
+    occ = occupation_sampler(model, x, t_burn=0.03, t_avg=0.1, thin=thin, cfg=cfg, seed=41,
+                             n_chains=n_chains)
+    assert occ.n_chains == n_chains
+    assert occ.states.shape == (n_chains * n_snaps, model.dim)
+    lam = model.basis.eigenvalues
+    vsq_avg = []
+    for r in range(n_chains):
+        path = simulate_path(model, x, 0.13, cfg, seed=41, path_index=r)
+        chain = occ.states[r * n_snaps:(r + 1) * n_snaps]
+        assert np.array_equal(chain, path.states[burn::thin])
+        vsq = (lam * path.states * path.states).sum(axis=1)
+        vsq_avg.append(0.5 * cfg.dt * (vsq[:-1] + vsq[1:]).sum() / 0.13)
+    assert occ.vsq_time_average == pytest.approx(np.mean(vsq_avg), rel=1e-12)
+
+
+def test_occupation_between_chain_se():
+    # one batch per chain: the spread of the R chain means over sqrt(R)
+    model = benchmark_model()
+    occ = occupation_sampler(model, np.zeros(model.dim), 0.05, 0.2, 20,
+                             StepperConfig(dt=1e-3), 8, n_chains=5)
+    chains = occ.states.reshape(5, -1, model.dim)
+    for se, vals in ((occ.se_mean, chains), (occ.se_second, chains * chains)):
+        means = vals.mean(axis=1)
+        assert np.allclose(se, means.std(axis=0, ddof=1) / np.sqrt(5), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n_chains", [0, -1, 2.5])
+def test_occupation_rejects_bad_chain_count(n_chains):
+    model = _linear_model()
+    with pytest.raises(ValidationError, match="n_chains"):
+        occupation_sampler(model, np.zeros(4), 0.1, 0.1, 10, StepperConfig(dt=1e-3), 3,
+                           n_chains=n_chains)
+
+
+def test_split_rhat_near_one_on_ou():
+    # 1-mode OU at λ = 4: X² relaxes in 1/8, far below the snapshot spacing
+    # of 0.1, so 8 chains of T = 10 after burn-in agree
+    s_amp = 0.05
+    model = build_model(
+        basis=quadratic_basis(1, 4.0), drift=linear_decay_drift(0.0), bilinear=zero_form(),
+        noise=diag_affine_noise(np.array([s_amp]), c_min=s_amp / 2),
+        lipschitz_c1=0.1, coupling_n=0,
+    )
+    occ = occupation_sampler(model, np.zeros(1), 1.0, 10.0, 100, StepperConfig(dt=1e-3), 5,
+                             n_chains=8)
+    assert 0.9 <= occ.rhat[0] <= 1.1
+
+
+def test_split_rhat_flags_unburnt_slow_decay():
+    # λ₁ = 0.1 and no burn-in: X_1² still decays from 0.81 over each chain,
+    # so the chains' first and last halves disagree
+    m = 4
+    model = build_model(
+        basis=quadratic_basis(m, 0.1), drift=linear_decay_drift(0.0), bilinear=zero_form(),
+        noise=diag_affine_noise(np.full(m, 0.05), c_min=0.05), lipschitz_c1=0.0, coupling_n=2,
+    )
+    occ = occupation_sampler(model, _e(m, 0, 0.9), 0.0, 2.0, 100, StepperConfig(dt=1e-3), 3,
+                             n_chains=4)
+    assert occ.rhat[0] > 1.1
+
+
+def test_split_rhat_nan_on_constant_chains():
+    occ = occupation_sampler(_linear_model(), np.zeros(4), 0.1, 1.0, 100,
+                             StepperConfig(dt=1e-3), 5, n_chains=3)
+    assert np.all(occ.states == 0.0)
+    assert np.all(np.isnan(occ.rhat))
+    # halves of one draw have no within-half variance
+    occ = occupation_sampler(benchmark_model(), np.zeros(16), 0.0, 0.02, 10,
+                             StepperConfig(dt=1e-3), 5, n_chains=3)
+    assert occ.states.shape == (9, 16)
+    assert np.all(np.isnan(occ.rhat))
+
+
 # invariance -------------------------------------------------------------
 
 
@@ -490,6 +579,32 @@ def test_invariance_ou_residuals():
     assert verdict.passed
     for _, resid, se, ok in rows:
         assert ok and resid <= 3.0 * se + 1e-12
+
+
+def test_invariance_between_chain_se(monkeypatch):
+    # with R > 1 chains the paired differences φ(T_Δ X) − φ(X) get one
+    # batch per chain
+    import see_lab.ergodicity as erg
+
+    model = benchmark_model()
+    occ = occupation_sampler(model, np.zeros(model.dim), 0.2, 0.4, 100,
+                             StepperConfig(dt=1e-3), 9, n_chains=6)
+    finals = []
+    inner = erg.run_paths
+
+    def kept(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        finals.append(out[0])
+        return out
+
+    monkeypatch.setattr(erg, "run_paths", kept)
+    verdict, rows = invariance_residual(model, occ, 0.05, 4, _plan(n_paths=2))
+    for (name, resid, se, ok), (_, fn) in zip(rows, bounded_test_functions(model.dim, 4)):
+        diff = fn(finals[0]) - fn(occ.states)
+        chain_means = diff.reshape(6, -1).mean(axis=1)
+        assert se == pytest.approx(chain_means.std(ddof=1) / np.sqrt(6), rel=1e-12)
+        assert resid == pytest.approx(abs(diff.mean()), rel=1e-12)
+        assert ok == (resid <= 3.0 * se + 1e-12)
 
 
 # rate fitting -----------------------------------------------------------
@@ -626,4 +741,17 @@ def test_battery_shift_cost_nan_without_pseudo_inverse(tmp_path):
     save_battery_outputs(tmp_path, report, series)
     summary = (tmp_path / "summary.txt").read_text()
     assert "girsanov shift cost (mean int ||beta||^2 dt) = nan\n" in summary
-    assert "battery_version = 2\n" in summary
+    assert "battery_version = 3\n" in summary
+
+
+def test_battery_summary_reports_occupation_chains(tmp_path):
+    from see_lab.ergodicity import run_ergodicity_battery, save_battery_outputs
+
+    plan = MonteCarloPlan(4, np.array([0.01, 0.02, 0.03]), 5, StepperConfig(dt=1e-3))
+    report, series = _quiet(run_ergodicity_battery, benchmark_model(), plan)
+    save_battery_outputs(tmp_path, report, series)
+    lines = [ln for ln in (tmp_path / "summary.txt").read_text().splitlines()
+             if ln.startswith("occupation:")]
+    assert len(lines) == 1
+    assert lines[0].startswith("occupation: n_chains=20, snapshots=120, max split-R-hat=")
+    float(lines[0].rsplit("=", 1)[1])

@@ -141,8 +141,10 @@ def test_cli_output_tree_digest(tmp_path):
 
 
 # battery_version 2: the steered pair from (x, y) runs once under the tag
-# "steered_pair", and Feller's three scales are one run
-BATTERY_SHA256 = "1b1e455f618380a60d243cc1d3c07fabe64101b4c091ebb1ece22e5365cf4e0f"
+# "steered_pair", and Feller's three scales are one run.
+# battery_version 3: the occupation measure is 20 chains of T = 1 on the
+# batch axis, with between-chain standard errors
+BATTERY_SHA256 = "e19f486f9c3eea4565a9d389c3e353ca0004792dcbfc68d5882681787d0d41f0"
 
 
 def test_battery_digest():
@@ -255,3 +257,25 @@ def test_contraction_stop_digest():
             verdict, t0, alpha = contraction_check(model, plan, dist)
         h.update(repr((name, scheme, verdict, t0, alpha)).encode())
     assert h.hexdigest() == CONTRACTION_STOP_SHA256
+
+
+# occupation_sampler's one-chain run (snapshots, both batch-means se arrays
+# and the ∫‖X‖²_V time average) and invariance_residual's rows restarted from
+# its snapshots
+OCCUPATION_SHA256 = "023d99751afd6e555d290662dc77e39727dad7003c2801bf30a4bab289c1fdda"
+
+
+def test_occupation_digest():
+    from see_lab.ergodicity import MonteCarloPlan, invariance_residual, occupation_sampler
+
+    h = hashlib.sha256()
+    cfg = StepperConfig(dt=1e-3)
+    for name in ("benchmark", "boundary_active"):
+        model, x = _golden_case(name)
+        occ = occupation_sampler(model, x, t_burn=0.05, t_avg=0.4, thin=10, cfg=cfg, seed=29)
+        h.update(_sha256(occ.states, occ.se_mean, occ.se_second).encode())
+        h.update(repr(occ.vsq_time_average).encode())
+        plan = MonteCarloPlan(n_paths=2, t_grid=np.array([0.01]), base_seed=29, cfg=cfg)
+        verdict, rows = invariance_residual(model, occ, 0.02, 6, plan)
+        h.update(repr((name, verdict, rows)).encode())
+    assert h.hexdigest() == OCCUPATION_SHA256
