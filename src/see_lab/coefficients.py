@@ -208,9 +208,11 @@ class NoiseMap:
     def g(self, r):
         return np.clip(self.g_base + self.g_slope * np.asarray(r), self.g_lo, self.g_hi)
 
-    def diag_batch(self, u: np.ndarray) -> np.ndarray:
+    def diag_batch(self, u: np.ndarray, norm: np.ndarray | None = None) -> np.ndarray:
+        """σ(u) row by row.  `norm`, if given, must be h_norm_arr(u), for a
+        caller that has it already; the custom hook ignores it."""
         if self.kind == "diag_affine":
-            return self.s * self.g(h_norm_arr(u))[..., None]
+            return self.s * self.g(h_norm_arr(u) if norm is None else norm)[..., None]
         if self.kind == "custom":
             return np.asarray(self.diag_fn(u), dtype=float)
         raise ValidationError(f"unknown noise kind {self.kind!r}")

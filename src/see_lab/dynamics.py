@@ -21,6 +21,12 @@ increments come from counter-addressed streams keyed by (seed, path_index,
 step), so a path's trajectory is bit-identical no matter how paths are
 grouped into batches.  Coupled pairs are one stacked batch through the same
 step kernel: the Y rows follow the X rows and reuse their increments.
+
+Each row's H-norm is computed once per step.  The ball constraint already
+needs r = |X̃|_H and, on the rows it rescales, the norm of the result, so it
+returns |X_{k+1}|_H as well, bit for bit equal to h_norm_arr(X_{k+1}).  The
+divergence check reads r, σ(X_{k+1}) reads the new norm, and so do the
+recorders, through `RunContext.hnorm`.
 """
 
 from __future__ import annotations
@@ -83,7 +89,7 @@ def project_ball(y: StateVector) -> StateVector:
     """Π(y): identity inside the closed unit ball, radial rescale outside.
 
     The rescale is the projected scheme's, so |Π(y)|_H ≤ 1 holds exactly."""
-    y_new, rho, _ = _apply_ball(y.coeffs[None, :], StepperConfig())
+    y_new, rho, _, _ = _apply_ball(y.coeffs[None, :], StepperConfig())
     return y if rho[0] == 1.0 else StateVector(y_new[0], y.basis)
 
 
@@ -95,11 +101,14 @@ class RunContext:
     """What the step kernel produced, shared with recorders.
 
     A run steps one stacked array of R rows: the P rows of X and, in a
-    coupled run, the P rows of Y after them (R = 2P).  `state`, `tilde`,
-    `dl_scale` and `diag` hold all R rows, and `rows(a, system)` selects the
-    P rows of system "x" or "y".  Recorders are called once after every
-    step, with `k` the index of the step just taken (states are at t_{k+1});
-    path functionals such as running integrals are the recorders' own.
+    coupled run, the P rows of Y after them (R = 2P).  `state`, `hnorm`,
+    `tilde`, `dl_scale` and `diag` hold all R rows, and `rows(a, system)`
+    selects the P rows of system "x" or "y".  `hnorm` is |state|_H, the norm
+    the step computed; recorders read it instead of recomputing it and, as
+    with every field, never write to it.  Recorders are called once after
+    every step, with `k` the index of the step just taken (states are at
+    t_{k+1}); path functionals such as running integrals are the recorders'
+    own.
     """
 
     def __init__(self, model, cfg, p, n_steps, path_indices, seed):
@@ -112,6 +121,7 @@ class RunContext:
         self.seed = seed
         self.k = -1
         self.state = None  # (R, M) states at t_{k+1}
+        self.hnorm = None  # (R,) |state|_H, equal to h_norm_arr(state)
         self.tilde = None  # (R, M) pre-constraint states X̃ of step k
         self.dl_scale = None  # (R,) rho - 1, dL = dl_scale * tilde
         self.diag = None  # (R, M) noise diagonal σ(state)
@@ -126,40 +136,43 @@ class RunContext:
 
 
 def _apply_ball(x_tilde, cfg):
-    """Return (x_new, rho, r) with x_new = rho[:,None] * x_tilde exactly.
+    """Return (x_new, rho, r, rn) with x_new = rho[:,None] * x_tilde exactly,
+    r = |x_tilde|_H and rn = |x_new|_H, equal to h_norm_arr(x_new) bit for bit.
 
-    rho is 1.0 on interior rows.  Projected rows are nudged by at most a few
-    ulp so that the recomputed H-norm of x_new never exceeds 1.0.
+    rho is 1.0 on interior rows, where x_new is x_tilde and rn is r.
+    Projected rows are nudged by at most a few ulp so that the recomputed
+    H-norm of x_new never exceeds 1.0.
     """
     r = h_norm_arr(x_tilde)
+    outside = r > 1.0
+    if not outside.any():
+        return x_tilde, np.ones_like(r), r, r
     if cfg.scheme == "projected":
-        outside = r > 1.0
-        if not outside.any():
-            return x_tilde, np.ones_like(r), r
         rho = np.where(outside, 1.0 / np.maximum(r, 1e-300), 1.0)
         x_new = x_tilde * rho[:, None]
         for _ in range(4):
             rn = h_norm_arr(x_new)
             over = rn > 1.0
             if not over.any():
-                break
+                return x_new, rho, r, rn
             rho = np.where(over, rho * (1.0 - 2.0**-50) / rn, rho)
             x_new = x_tilde * rho[:, None]
-        return x_new, rho, r
+        return x_new, rho, r, h_norm_arr(x_new)
     # penalized: implicit radial solve
     dtn = cfg.dt * cfg.penalty_n
-    outside = r > 1.0
-    if not outside.any():
-        return x_tilde, np.ones_like(r), r
     factor = (r + dtn) / ((1.0 + dtn) * np.maximum(r, 1e-300))
     rho = np.where(outside, factor, 1.0)
-    return x_tilde * rho[:, None], rho, r
+    x_new = x_tilde * rho[:, None]
+    rn = r.copy()
+    rn[outside] = h_norm_arr(x_new[outside])
+    return x_new, rho, r, rn
 
 
 def _kernel(model, cfg, p, coupled=False, correction=True):
     """The step of a stacked (R, M) state, as step(s, diag, dw) -> (s_new,
-    tilde, rho, r): tilde is the semi-implicit Euler state, s_new =
-    rho[:, None] * tilde the state after the ball constraint, r = |tilde|_H.
+    tilde, rho, r, rn): tilde is the semi-implicit Euler state, s_new =
+    rho[:, None] * tilde the state after the ball constraint, r = |tilde|_H
+    and rn = |s_new|_H.
 
     diag is σ(s) and dw holds the Brownian increments of the P rows of X.  In
     a coupled run (R = 2P) Y row i reuses the increments of X row i and, with
@@ -186,18 +199,25 @@ def _kernel(model, cfg, p, coupled=False, correction=True):
             xi = (diag.reshape(2, p, m) * dw).reshape(2 * p, m)
         else:
             xi = diag * dw
-        tilde = (s + dt * d + xi) * inv1p
+        # tilde = (s + dt * d + xi) * inv1p, in place in the fresh drift array
+        d *= dt
+        d += s
+        d += xi
+        d *= inv1p
         with np.errstate(over="ignore", invalid="ignore"):
-            s_new, rho, r = _apply_ball(tilde, cfg)
-        return s_new, tilde, rho, r
+            s_new, rho, r, rn = _apply_ball(d, cfg)
+        return s_new, d, rho, r, rn
 
     return step
 
 
-def _check_finite(model, s_new, r, path_indices, step, dt):
-    """Raise DivergedError for the first row with a nonfinite state or
-    pre-constraint norm r = |X̃|_H; X rows come before Y rows."""
-    bad_rows = ~(np.isfinite(s_new).all(axis=1) & np.isfinite(r))
+def _check_finite(model, r, path_indices, step, dt):
+    """Raise DivergedError for the first row whose pre-constraint norm
+    r = |X̃|_H is nonfinite; X rows come before Y rows.
+
+    This covers nonfinite states too: a nonfinite X̃ has a nonfinite r, and
+    a finite r makes the constrained state rho * X̃ (rho <= 1) finite."""
+    bad_rows = ~np.isfinite(r)
     if bad_rows.any():
         bad = int(np.nonzero(bad_rows)[0][0])
         raise DivergedError(
@@ -251,8 +271,9 @@ def run_paths(
 
     rt = RunContext(model, cfg, p, n_steps, path_indices, seed)
     s = np.concatenate([x0, y0], dtype=float) if coupled else np.array(x0, dtype=float)
-    diag = model.noise.diag_batch(s)
-    rt.state, rt.diag = s, diag
+    hnorm = h_norm_arr(s)
+    diag = model.noise.diag_batch(s, hnorm)
+    rt.state, rt.hnorm, rt.diag = s, hnorm, diag
     for rec in recorders:
         rec.begin(rt)
 
@@ -266,15 +287,15 @@ def run_paths(
             rows = min(chunk, n_steps - k)
             noise = np.empty((p, rows, m))
             for row, pi in enumerate(path_indices):
-                noise[row] = gaussian_block(seed, int(pi), step0 + k, rows, m, dt)
+                gaussian_block(seed, int(pi), step0 + k, rows, m, dt, out=noise[row])
         dw = noise[:, k % chunk, :]
 
-        s, tilde, rho, r = step(s, diag, dw)
-        _check_finite(model, s, r, path_indices, step0 + k + 1, dt)
-        diag = model.noise.diag_batch(s)
+        s, tilde, rho, r, hnorm = step(s, diag, dw)
+        _check_finite(model, r, path_indices, step0 + k + 1, dt)
+        diag = model.noise.diag_batch(s, hnorm)
 
         rt.k = k
-        rt.state, rt.tilde, rt.diag = s, tilde, diag
+        rt.state, rt.hnorm, rt.tilde, rt.diag = s, hnorm, tilde, diag
         rt.dl_scale = rho - 1.0
         for rec in recorders:
             rec.on_step(rt)
@@ -325,10 +346,10 @@ class BallRecorder:
         self.max_h = None
 
     def begin(self, rt):
-        self.max_h = h_norm_arr(rt.rows(rt.state, self.system))
+        self.max_h = rt.rows(rt.hnorm, self.system).copy()
 
     def on_step(self, rt):
-        np.maximum(self.max_h, h_norm_arr(rt.rows(rt.state, self.system)), out=self.max_h)
+        np.maximum(self.max_h, rt.rows(rt.hnorm, self.system), out=self.max_h)
 
 
 class ContactRecorder:
@@ -355,7 +376,7 @@ class ContactRecorder:
             return
         dl = rt.dl()[active]
         xn = rt.rows(rt.state)[active]
-        xn_norm = h_norm_arr(xn)
+        xn_norm = rt.rows(rt.hnorm)[active]
         u = xn / xn_norm[:, None]
         along = (dl * u).sum(axis=1)
         resid = dl - along[:, None] * u
@@ -428,7 +449,7 @@ def _step_with_noise(model: ModelSpec, state: StateVector, cfg: StepperConfig, n
     """One kernel step of one state with the given noise; returns (next, dL)."""
     x = _as_batch_x0(model, state)
     dw = np.broadcast_to(np.asarray(noise, dtype=float), x.shape)
-    x_new, tilde, rho, _ = _kernel(model, cfg, 1)(x, model.noise.diag_batch(x), dw)
+    x_new, tilde, rho, _, _ = _kernel(model, cfg, 1)(x, model.noise.diag_batch(x), dw)
     dl = tilde[0] * (rho[0] - 1.0)
     return StateVector(x_new[0], model.basis), StateVector(dl, model.basis)
 

@@ -48,3 +48,28 @@ def test_run_paths_steps_binds_call():
     assert tracing.run_paths_steps((), {"model": None, "cfg": None, "x0": x0,
                                         "n_steps": 7, "seed": 1,
                                         "path_indices": range(3)}) == (False, 21)
+
+
+def test_noise_layer_is_traced_per_path_and_chunk(monkeypatch):
+    # the tracer splits out the noise layer by rebinding dynamics' own name
+    # for gaussian_block; run_paths must look it up there, once per path
+    # per noise chunk
+    import see_lab.cli  # noqa: F401  (the tracer wraps every see_lab module)
+    import see_lab.rng
+    from see_lab.coefficients import benchmark_model
+
+    assert see_lab.dynamics.gaussian_block is see_lab.rng.gaussian_block
+    model = benchmark_model()
+    p, n_steps, chunk = 3, 10, 4
+    monkeypatch.setattr(see_lab.dynamics, "_NOISE_CHUNK_TARGET", chunk * p * model.dim)
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        see_lab.dynamics.run_paths(model, see_lab.dynamics.StepperConfig(),
+                                   np.zeros((p, model.dim)), n_steps, 1, [0, 4, 9])
+    finally:
+        tracer.uninstall()
+    noise = [s for s in tracer.spans if s[1] == "rng.gaussian_block"]
+    assert len(noise) == p * 3  # chunks of 4, 4 and 2 steps
+    assert sum(s[5]["rows"] for s in noise) == p * n_steps
+    assert see_lab.dynamics.gaussian_block is see_lab.rng.gaussian_block

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from see_lab.coefficients import (
+    NoiseMap,
     affine_drift,
     benchmark_model,
     boundary_active_model,
@@ -175,6 +176,85 @@ def test_single_step_is_kernel_step(scheme):
             else:
                 new = step_penalized(model, state, cfg, noise)
             assert np.array_equal(new.coeffs, ref[0]), (name, i)
+
+
+# the norm the ball step returns -----------------------------------------
+
+
+def _ball_rows(seed, n, m, lo, hi):
+    rng = np.random.default_rng(seed)
+    ys = rng.standard_normal((n, m))
+    return ys * (rng.uniform(lo, hi, (n, 1)) / h_norm_arr(ys)[:, None])
+
+
+def _assert_ball_norms(x_tilde, cfg):
+    from see_lab.dynamics import _apply_ball
+
+    x_new, rho, r, rn = _apply_ball(x_tilde, cfg)
+    assert np.array_equal(x_new, x_tilde * rho[:, None])
+    assert r.tobytes() == h_norm_arr(x_tilde).tobytes()
+    assert rn.tobytes() == h_norm_arr(x_new).tobytes()
+    return x_new, rho, r, rn
+
+
+@pytest.mark.parametrize("scheme", ["projected", "penalized"])
+def test_apply_ball_norm_interior(scheme):
+    x_tilde = _ball_rows(1, 500, 16, 0.0, 1.0)
+    x_new, rho, r, rn = _assert_ball_norms(x_tilde, StepperConfig(scheme=scheme))
+    assert x_new is x_tilde and rn is r and np.all(rho == 1.0)
+
+
+@pytest.mark.parametrize("scheme", ["projected", "penalized"])
+def test_apply_ball_norm_outside(scheme):
+    # interior and outside rows mixed; the projected rows include some that
+    # the plain rescale leaves above 1 and the ulp nudge moves
+    for m in (3, 16, 48):
+        x_tilde = np.concatenate([_ball_rows(m, 2000, m, 1.0, 50.0),
+                                  _ball_rows(m + 1, 500, m, 0.0, 1.0)])
+        _, rho, r, rn = _assert_ball_norms(x_tilde, StepperConfig(scheme=scheme))
+        assert np.all(rn[r <= 1.0] == r[r <= 1.0])
+        if scheme == "projected":
+            assert np.all(rn <= 1.0)
+            assert np.any(rho[r > 1.0] != 1.0 / r[r > 1.0]), m
+
+
+def test_apply_ball_norm_after_nudges_run_out(monkeypatch):
+    # read the norms of the four nudged states as just above 1, so that the
+    # nudge loop runs out and the returned norm must be computed afresh
+    from see_lab import dynamics
+
+    calls = []
+
+    def inflated(c):
+        n = h_norm_arr(c)
+        calls.append(None)
+        if 2 <= len(calls) <= 5:
+            n = np.where(n > 0.99, np.maximum(n, 1.0 + 2.0**-40), n)
+        return n
+
+    monkeypatch.setattr(dynamics, "h_norm_arr", inflated)
+    x_tilde = np.concatenate([_ball_rows(5, 20, 16, 1.0, 50.0), _ball_rows(6, 5, 16, 0.0, 0.9)])
+    _, rho, r, rn = _assert_ball_norms(x_tilde, StepperConfig())
+    assert len(calls) == 6
+    assert np.all(rn[r > 1.0] < 1.0) and np.all(rn[r <= 1.0] == r[r <= 1.0])
+
+
+@pytest.mark.parametrize("scheme", ["projected", "penalized"])
+def test_ball_recorder_equals_recomputed_max(scheme):
+    from see_lab.dynamics import BallRecorder, TrajectoryRecorder, run_paths
+
+    model = boundary_active_model()
+    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    xs = np.zeros((4, model.dim))
+    xs[:, 0] = [1.0, 0.9, 0.5, 0.0]
+    ys = -xs
+    recs = {sys: (BallRecorder(sys), TrajectoryRecorder(sys)) for sys in ("x", "y")}
+    run_paths(model, cfg, xs, 150, 3, [0, 1, 2, 3], [r for pair in recs.values() for r in pair],
+              y0=ys)
+    for sys, (ball, traj) in recs.items():
+        ref = h_norm_arr(traj.states).max(axis=1)
+        assert ball.max_h.tobytes() == ref.tobytes(), sys
+        assert np.any(ball.max_h >= 1.0 - 1e-12), sys  # the constraint was active
 
 
 # full paths ------------------------------------------------------------
@@ -421,6 +501,60 @@ def test_divergence_reports_x_rows_before_y_rows():
     with pytest.raises(DivergedError) as err:
         run_paths(model, StepperConfig(dt=1e-3), xs, 5, 5, [10, 20, 30], y0=ys)
     assert (err.value.path_index, err.value.step) == (30, 1)
+
+
+def _nan_noise_model(p, bad_call):
+    # boundary_active's σ through the custom hook, NaN in Y row 1 of the
+    # run's diagonal on its bad_call-th evaluation (0 is the start state)
+    base = boundary_active_model(m=8)
+    calls = []
+
+    def diag_fn(u):
+        d = base.noise.diag_batch(u)
+        if u.shape[0] == 2 * p:
+            if len(calls) == bad_call:
+                d[p + 1] = np.nan
+            calls.append(None)
+        return d
+
+    return build_model(
+        basis=base.basis,
+        drift=base.drift,
+        bilinear=base.bilinear,
+        noise=NoiseMap(kind="custom", diag_fn=diag_fn),
+        lipschitz_c1=base.lipschitz_c1,
+        coupling_n=base.coupling_n,
+    )
+
+
+@pytest.mark.parametrize("scheme", ["projected", "penalized"])
+def test_divergence_from_nan_noise_diagonal(scheme):
+    from see_lab.dynamics import run_paths
+
+    model = _nan_noise_model(3, 3)
+    xs = np.zeros((3, 8))
+    xs[:, 0] = 0.5
+    with pytest.raises(DivergedError) as err:
+        run_paths(model, StepperConfig(dt=1e-3, scheme=scheme), xs, 10, 7, [10, 20, 30],
+                  y0=xs.copy(), step0=100)
+    e = err.value
+    # σ(X_103) of Y row 1 is NaN, so its step to X_104 is the first bad one
+    assert (e.path_index, e.step, e.model_id) == (20, 104, model.model_id)
+    assert np.isnan(e.h_norm)
+
+
+@pytest.mark.parametrize("scheme", ["projected", "penalized"])
+def test_divergence_from_finite_state_with_overflowing_norm(scheme):
+    from see_lab.dynamics import run_paths
+
+    model = _noise_free_model(scale=1e200)
+    xs = np.zeros((3, 4))
+    xs[1, 0] = 0.5  # X̃ has entries near 5e196: finite, but |X̃|²_H overflows
+    with pytest.raises(DivergedError) as err:
+        run_paths(model, StepperConfig(dt=1e-3, scheme=scheme), xs, 5, 5, [4, 5, 6], step0=9)
+    e = err.value
+    assert (e.path_index, e.step, e.model_id) == (5, 10, model.model_id)
+    assert e.h_norm == np.inf
 
 
 # obstacle inequality ---------------------------------------------------
