@@ -41,8 +41,9 @@ from .spectral import h_norm_arr, validate_h1
 # it moves whenever battery results move on purpose.  2: one steered run from
 # (x, y) feeds four estimators, and Feller's scales are one stacked run.
 # 3: the occupation measure is 20 chains of T = 1 on the batch axis, with
-# between-chain standard errors.
-BATTERY_VERSION = 3
+# between-chain standard errors.  4: the time average of ‖X‖²_V leaves out
+# the burn-in.
+BATTERY_VERSION = 4
 
 # ---------------------------------------------------------------------------
 # plans, series, verdicts
@@ -555,7 +556,7 @@ class OccupationMeasure:
     second_moments: np.ndarray  # (M,) per-mode E[X_i²]
     se_mean: np.ndarray  # batch means (one chain) or between-chain standard errors
     se_second: np.ndarray
-    vsq_time_average: float  # chain mean of (1/T)∫₀ᵀ ‖X‖² ds over the full run
+    vsq_time_average: float  # chain mean of (1/T_avg)∫ ‖X‖²_V ds after burn-in
     vsq_bound: float  # 2(|f₀|² + |σ₀|² + 2C₁)
     seed: int
     n_chains: int  # R; chain r holds states[r * S/R : (r + 1) * S/R]
@@ -564,8 +565,9 @@ class OccupationMeasure:
 
 class _SnapshotRecorder:
     """Thinned snapshots of every chain (batch row) after burn-in, and each
-    chain's running ∫‖X‖²_V ds.  The integral is kept here, not in a second
-    recorder, so the chains pay for one recorder call per step."""
+    chain's running ∫‖X‖²_V ds over the same window.  The integral is kept
+    here, not in a second recorder, so the chains pay for one recorder call
+    per step."""
 
     def __init__(self, burn_steps, thin, n_snaps, n_chains, m):
         self.burn = burn_steps
@@ -575,18 +577,21 @@ class _SnapshotRecorder:
 
     def begin(self, rt):
         self._lam, self._half_dt = rt.model.basis.eigenvalues, 0.5 * rt.dt
-        self._vsq = (self._lam * rt.state * rt.state).sum(axis=1)
         self.vsq_trapz = np.zeros(rt.p)
         if self.burn == 0:
+            self._vsq = (self._lam * rt.state * rt.state).sum(axis=1)
             self.rows[self.count] = rt.state
             self.count += 1
 
     def on_step(self, rt):
-        vsq = (self._lam * rt.state * rt.state).sum(axis=1)
-        self.vsq_trapz += self._half_dt * (self._vsq + vsq)
-        self._vsq = vsq
         k1 = rt.k + 1
-        if k1 >= self.burn and (k1 - self.burn) % self.thin == 0:
+        if k1 < self.burn:
+            return
+        vsq = (self._lam * rt.state * rt.state).sum(axis=1)
+        if k1 > self.burn:
+            self.vsq_trapz += self._half_dt * (self._vsq + vsq)
+        self._vsq = vsq
+        if (k1 - self.burn) % self.thin == 0:
             if self.count < self.rows.shape[0]:
                 self.rows[self.count] = rt.state
                 self.count += 1
@@ -650,8 +655,8 @@ def occupation_sampler(
     n_chains: int = 1,
 ) -> OccupationMeasure:
     """Trajectory snapshots every `thin` steps on [T_burn, T_burn + T_avg],
-    equal weights, plus the running time average of ‖X‖² against its
-    Lipschitz-constant bound.
+    equal weights, plus the time average of ‖X‖²_V over the same window
+    against its Lipschitz-constant bound.
 
     n_chains: R independent chains, all started at x, stepped as the rows of
     one run with path indices 0..R−1; each burns T_burn and then averages
@@ -667,6 +672,8 @@ def occupation_sampler(
     x0 = np.repeat(_as_batch_x0(model, np.asarray(x, dtype=float)), n_chains, axis=0)
     burn_steps = n_steps_for(t_burn, cfg.dt)
     avg_steps = n_steps_for(t_avg, cfg.dt)
+    if avg_steps < 1:
+        raise ValidationError("t_avg must be at least one step")
     n_snaps = avg_steps // thin + 1
     rec = _SnapshotRecorder(burn_steps, thin, n_snaps, n_chains, model.dim)
     run_paths(model, cfg, x0, burn_steps + avg_steps, seed, np.arange(n_chains),
@@ -674,7 +681,6 @@ def occupation_sampler(
     states = rec.rows[: rec.count].transpose(1, 0, 2).reshape(-1, model.dim)
     second = states * states
     _, k_const = lyapunov_constants(model)
-    t_total = (burn_steps + avg_steps) * cfg.dt
     return OccupationMeasure(
         states=states,
         weights=np.full(states.shape[0], 1.0 / states.shape[0]),
@@ -682,7 +688,7 @@ def occupation_sampler(
         second_moments=second.mean(axis=0),
         se_mean=occupation_se(states, n_chains),
         se_second=occupation_se(second, n_chains),
-        vsq_time_average=float((rec.vsq_trapz / t_total).mean()),
+        vsq_time_average=float((rec.vsq_trapz / (avg_steps * cfg.dt)).mean()),
         vsq_bound=k_const,
         seed=seed,
         n_chains=n_chains,

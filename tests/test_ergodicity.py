@@ -481,8 +481,8 @@ def test_occupation_chain_equals_one_chain_run(name, n_chains):
         path = simulate_path(model, x, 0.13, cfg, seed=41, path_index=r)
         chain = occ.states[r * n_snaps:(r + 1) * n_snaps]
         assert np.array_equal(chain, path.states[burn::thin])
-        vsq = (lam * path.states * path.states).sum(axis=1)
-        vsq_avg.append(0.5 * cfg.dt * (vsq[:-1] + vsq[1:]).sum() / 0.13)
+        vsq = (lam * path.states[burn:] * path.states[burn:]).sum(axis=1)
+        vsq_avg.append(0.5 * cfg.dt * (vsq[:-1] + vsq[1:]).sum() / 0.1)
     assert occ.vsq_time_average == pytest.approx(np.mean(vsq_avg), rel=1e-12)
 
 
@@ -503,6 +503,12 @@ def test_occupation_rejects_bad_chain_count(n_chains):
     with pytest.raises(ValidationError, match="n_chains"):
         occupation_sampler(model, np.zeros(4), 0.1, 0.1, 10, StepperConfig(dt=1e-3), 3,
                            n_chains=n_chains)
+
+
+def test_occupation_rejects_empty_averaging_window():
+    with pytest.raises(ValidationError, match="t_avg"):
+        occupation_sampler(_linear_model(), np.zeros(4), 0.1, 0.0, 10,
+                           StepperConfig(dt=1e-3), 3)
 
 
 def test_split_rhat_near_one_on_ou():
@@ -741,7 +747,7 @@ def test_battery_shift_cost_nan_without_pseudo_inverse(tmp_path):
     save_battery_outputs(tmp_path, report, series)
     summary = (tmp_path / "summary.txt").read_text()
     assert "girsanov shift cost (mean int ||beta||^2 dt) = nan\n" in summary
-    assert "battery_version = 3\n" in summary
+    assert "battery_version = 4\n" in summary
 
 
 def test_battery_summary_reports_occupation_chains(tmp_path):

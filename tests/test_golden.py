@@ -144,7 +144,8 @@ def test_cli_output_tree_digest(tmp_path):
 # "steered_pair", and Feller's three scales are one run.
 # battery_version 3: the occupation measure is 20 chains of T = 1 on the
 # batch axis, with between-chain standard errors
-BATTERY_SHA256 = "e19f486f9c3eea4565a9d389c3e353ca0004792dcbfc68d5882681787d0d41f0"
+# battery_version 4: the ∫‖X‖²_V time average leaves out the burn-in
+BATTERY_SHA256 = "8c128979ca444c28bc41458fd202007ff3ddb92a7c82d6e5db9453a0d2e9ae51"
 
 
 def test_battery_digest():
@@ -260,9 +261,9 @@ def test_contraction_stop_digest():
 
 
 # occupation_sampler's one-chain run (snapshots, both batch-means se arrays
-# and the ∫‖X‖²_V time average) and invariance_residual's rows restarted from
-# its snapshots
-OCCUPATION_SHA256 = "023d99751afd6e555d290662dc77e39727dad7003c2801bf30a4bab289c1fdda"
+# and the ∫‖X‖²_V time average after burn-in) and invariance_residual's rows
+# restarted from its snapshots
+OCCUPATION_SHA256 = "9351d1d6938b8dc7dd56edf73155065c55b60f7c2009a1f1eae62b48009fe8fb"
 
 
 def test_occupation_digest():
