@@ -163,9 +163,7 @@ def _apply_ball(x_tilde, cfg):
     factor = (r + dtn) / ((1.0 + dtn) * np.maximum(r, 1e-300))
     rho = np.where(outside, factor, 1.0)
     x_new = x_tilde * rho[:, None]
-    rn = r.copy()
-    rn[outside] = h_norm_arr(x_new[outside])
-    return x_new, rho, r, rn
+    return x_new, rho, r, h_norm_arr(x_new)
 
 
 def _kernel(model, cfg, p, coupled=False, correction=True):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -122,3 +124,32 @@ def test_run_chunks_equal_fresh_generator(monkeypatch, k):
             assert [s for s, _ in pieces] == [step0, step0 + 3, step0 + 6]
             joined = np.concatenate([z for _, z in pieces])
             assert joined.tobytes() == _fresh_block(11, pi, step0, 8, k, DT).tobytes()
+
+
+def test_threads_read_the_same_blocks():
+    # each thread repositions its own generator: reads interleaved across
+    # more threads than cores give the serial blocks
+    jobs = [(seed, path, 37 * path, 5, k) for seed in (1, 2) for path in range(8)
+            for k in (3, 16)]
+    expected = [gaussian_block(*job, DT).tobytes() for job in jobs]
+    reads, bad = [], []
+
+    def work(offset):
+        for _ in range(20):
+            for i in range(offset, len(jobs), 4):
+                if gaussian_block(*jobs[i], DT).tobytes() != expected[i]:
+                    bad.append(i)
+                reads.append(i)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(reads) == 20 * len(jobs) and not bad
