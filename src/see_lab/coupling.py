@@ -127,26 +127,32 @@ class CoupledPath:
     x_path: PathSample
     y_path: PathSample
     shift_record: np.ndarray  # (K+1, M) β at every grid point (NaN if no pinv)
-    shift_cost: float  # trapezoidal ∫ ‖β‖²_{l²} dt
+    shift_cost_cum: np.ndarray  # (K+1,) trapezoidal ∫₀^{t_k} ‖β‖²_{l²} dt
+
+    @property
+    def shift_cost(self) -> float:
+        return float(self.shift_cost_cum[-1])
 
 
 class ShiftRecorder:
     """Girsanov shift β of every pair of a coupled run at every step, on the
-    N coupled modes, and its running cost ∫₀ᵗ ‖β‖²_{l²} ds (trapezoidal)."""
+    N coupled modes, and its cumulative cost ∫₀^{t_k} ‖β‖²_{l²} ds
+    (trapezoidal) at every step."""
 
     def __init__(self):
         self.record = None  # (P, K+1, N)
-        self.cost = None  # (P,) cost up to the current step
+        self.cum = None  # (P, K+1)
 
     def begin(self, rt):
         _pinv_floor(rt.model)
         self.record = np.empty((rt.p, rt.n_steps + 1, rt.model.coupling_n))
         self._bsq = self._store(rt, 0)
-        self.cost = np.zeros(rt.p)
+        self.cum = np.zeros((rt.p, rt.n_steps + 1))
 
     def on_step(self, rt):
-        bsq = self._store(rt, rt.k + 1)
-        self.cost += 0.5 * rt.dt * (self._bsq + bsq)
+        k = rt.k
+        bsq = self._store(rt, k + 1)
+        self.cum[:, k + 1] = self.cum[:, k] + 0.5 * rt.dt * (self._bsq + bsq)
         self._bsq = bsq
 
     def _store(self, rt, col):
@@ -183,14 +189,15 @@ def simulate_coupled_paths(
     run_paths(model, cfg, x0, n_steps, seed, path_indices, recorders=recorders, y0=y0)
     if has_pinv:
         records = np.pad(shift.record, ((0, 0), (0, 0), (0, model.dim - model.coupling_n)))
-        costs = shift.cost
+        cums = shift.cum
     else:
         records = np.full((p, n_steps + 1, model.dim), np.nan)
-        costs = np.full(p, np.nan)
+        cums = np.full((p, n_steps + 1), np.nan)
+        cums[:, 0] = 0.0  # nothing accrues before the first step
         warnings.warn("noise map has no pseudo-inverse; shift record unavailable")
     return [
-        CoupledPath(xp, yp, rec, float(cost))
-        for xp, yp, rec, cost in zip(tx.samples(), ty.samples(), records, costs)
+        CoupledPath(xp, yp, rec, cum)
+        for xp, yp, rec, cum in zip(tx.samples(), ty.samples(), records, cums)
     ]
 
 
@@ -215,9 +222,7 @@ def dump_coupled_csv(cp: CoupledPath, p: DistanceParams, directory) -> str:
     times = cp.x_path.times
     gap = h_norm_arr(cp.x_path.states - cp.y_path.states)
     d_vals = d_distance_arr(gap, p)
-    bsq = (cp.shift_record * cp.shift_record).sum(axis=1)
-    dt = float(times[1] - times[0]) if times.size > 1 else 0.0
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * dt * (bsq[1:] + bsq[:-1]))])
+    cum = cp.shift_cost_cum
     name = f"coupled_{cp.x_path.noise_seed}_{cp.x_path.path_index}.csv"
     full = os.path.join(directory, name)
     with open(full, "w") as fh:

@@ -340,6 +340,7 @@ base_seed = 5
     assert code == 0
     summary = open(os.path.join(out, "summary.txt")).read()
     assert "fitted_rate" in summary and "contraction_bound_exponent" in summary
+    assert "contraction_bound_exponent_alt" not in summary
 
 
 def test_cli_ergodicity_h1_violating_exits_nonzero(tmp_path, capsys):

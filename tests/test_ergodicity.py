@@ -727,6 +727,29 @@ def test_battery_steps_each_start_pair_once(monkeypatch):
     assert len(steered) == 1
 
 
+@pytest.mark.parametrize("contracts", [True, False])
+def test_battery_d_small_at_contraction_time(monkeypatch, contracts):
+    # d-smallness is checked at the t0 that contraction found (both must hold
+    # at one time), and at the last grid time when contraction fails
+    import see_lab.ergodicity as erg
+    from see_lab.coupling import select_delta
+
+    model = benchmark_model()
+    plan = MonteCarloPlan(4, np.array([0.02, 0.04, 0.06]), 7, StepperConfig(dt=1e-2))
+    dist = DistanceParams(n_tilde=1.0, delta=select_delta(model)[0])
+    _, t0, alpha = erg.contraction_check(model, plan, dist)
+    assert t0 is not None and t0 < plan.t_grid[-1]
+    if not contracts:
+        failed = erg.Verdict(name="contraction", passed=False, margin=-0.1, detail="forced")
+        monkeypatch.setattr(erg, "contraction_check", lambda *a, **k: (failed, None, alpha))
+        t0 = float(plan.t_grid[-1])
+    report, _ = _quiet(erg.run_ergodicity_battery, model, plan, occupation=False)
+    (battery,) = [v for v in report.verdicts if v.name == "d_small"]
+    alone, _ = erg.d_small_check(model, plan, dist, m_level=1.0, t=t0)
+    assert (battery.name, battery.passed, battery.margin, battery.detail) == (
+        alone.name, alone.passed, alone.margin, alone.detail)
+
+
 def test_battery_shift_cost_nan_without_pseudo_inverse(tmp_path):
     # c_min = 0: σ has no pseudo-inverse on the coupled modes, so β and its
     # cost are undefined and the summary says nan rather than 0.0
@@ -747,7 +770,7 @@ def test_battery_shift_cost_nan_without_pseudo_inverse(tmp_path):
     save_battery_outputs(tmp_path, report, series)
     summary = (tmp_path / "summary.txt").read_text()
     assert "girsanov shift cost (mean int ||beta||^2 dt) = nan\n" in summary
-    assert "battery_version = 4\n" in summary
+    assert "battery_version = 5\n" in summary
 
 
 def test_battery_summary_reports_occupation_chains(tmp_path):

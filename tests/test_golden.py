@@ -96,7 +96,6 @@ def test_coupled_run_digest(name, correction):
     # local-time ledgers and the running Girsanov cost ∫‖β‖² at every step
     from see_lab.coupling import ShiftRecorder
     from see_lab.dynamics import TrajectoryRecorder, run_paths
-    from see_lab.ergodicity import ValueCapture
 
     model, x0 = _golden_case(name)
     m = model.dim
@@ -104,14 +103,11 @@ def test_coupled_run_digest(name, correction):
     ys = np.stack([-x0, 0.5 * x0[::-1], _spread_start(m, 0.99)[::-1]])
     tx, ty = TrajectoryRecorder("x"), TrajectoryRecorder("y")
     shift = ShiftRecorder()
-    cost = ValueCapture(np.arange(201), {"beta": lambda rt: shift.cost})
     run_paths(
         model, StepperConfig(dt=1e-3), xs, 200, 77, [3, 4, 9],
-        recorders=[tx, ty, shift, cost], y0=ys, correction=correction,
+        recorders=[tx, ty, shift], y0=ys, correction=correction,
     )
-    digest = _sha256(
-        tx.states, tx.increments, ty.states, ty.increments, cost.values["beta"]
-    )
+    digest = _sha256(tx.states, tx.increments, ty.states, ty.increments, shift.cum)
     assert digest == COUPLED_SHA256[(name, correction)]
 
 
@@ -145,7 +141,8 @@ def test_cli_output_tree_digest(tmp_path):
 # battery_version 3: the occupation measure is 20 chains of T = 1 on the
 # batch axis, with between-chain standard errors
 # battery_version 4: the ∫‖X‖²_V time average leaves out the burn-in
-BATTERY_SHA256 = "8c128979ca444c28bc41458fd202007ff3ddb92a7c82d6e5db9453a0d2e9ae51"
+# battery_version 5: d-smallness is checked at the contraction time t0
+BATTERY_SHA256 = "b28e903844a9d28ff7cb345e082627a1f2ab2f9461e757eb18c7b6aef3ddaea1"
 
 
 def test_battery_digest():
