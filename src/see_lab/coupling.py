@@ -137,7 +137,8 @@ class CoupledPath:
 class ShiftRecorder:
     """Girsanov shift β of every pair of a coupled run at every step, on the
     N coupled modes, and its cumulative cost ∫₀^{t_k} ‖β‖²_{l²} ds
-    (trapezoidal) at every step."""
+    (trapezoidal) at every step.  The pair is X and Y system 0, which must
+    be a steered one."""
 
     def __init__(self):
         self.record = None  # (P, K+1, N)

@@ -19,8 +19,9 @@ The engine steps a whole batch of paths at once.  All arithmetic is
 row-local (one row per path, modes on the last axis), and the Brownian
 increments come from counter-addressed streams keyed by (seed, path_index,
 step), so a path's trajectory is bit-identical no matter how paths are
-grouped into batches.  Coupled pairs are one stacked batch through the same
-step kernel: the Y rows follow the X rows and reuse their increments.
+grouped into batches.  Coupled runs are one stacked batch through the same
+step kernel: the rows of J Y systems follow the X rows, and every Y system
+reuses X's increments.
 
 Each row's H-norm is computed once per step.  The ball constraint already
 needs r = |X̃|_H and, on the rows it rescales, the norm of the result, so it
@@ -101,21 +102,23 @@ class RunContext:
     """What the step kernel produced, shared with recorders.
 
     A run steps one stacked array of R rows: the P rows of X and, in a
-    coupled run, the P rows of Y after them (R = 2P).  `state`, `hnorm`,
-    `tilde`, `dl_scale` and `diag` hold all R rows, and `rows(a, system)`
-    selects the P rows of system "x" or "y".  `hnorm` is |state|_H, the norm
-    the step computed; recorders read it instead of recomputing it and, as
-    with every field, never write to it.  Recorders are called once after
-    every step, with `k` the index of the step just taken (states are at
-    t_{k+1}); path functionals such as running integrals are the recorders'
-    own.
+    coupled run, the P rows of each of its J Y systems after them
+    (R = (1 + J) P, system j in rows (1 + j) P to (2 + j) P).  `state`,
+    `hnorm`, `tilde`, `dl_scale` and `diag` hold all R rows, and
+    `rows(a, system)` selects the P rows of one system.  `hnorm` is
+    |state|_H, the norm the step computed; recorders read it instead of
+    recomputing it and, as with every field, never write to it.  Recorders
+    are called once after every step, with `k` the index of the step just
+    taken (states are at t_{k+1}); path functionals such as running
+    integrals are the recorders' own.
     """
 
-    def __init__(self, model, cfg, p, n_steps, path_indices, seed):
+    def __init__(self, model, cfg, p, n_y, n_steps, path_indices, seed):
         self.model = model
         self.cfg = cfg
         self.dt = cfg.dt
         self.p = p
+        self.n_y = n_y  # J, the number of Y systems (0 in a single run)
         self.n_steps = n_steps
         self.path_indices = path_indices
         self.seed = seed
@@ -126,11 +129,19 @@ class RunContext:
         self.dl_scale = None  # (R,) rho - 1, dL = dl_scale * tilde
         self.diag = None  # (R, M) noise diagonal σ(state)
 
-    def rows(self, a, system: str = "x"):
-        """The P rows of system "x" or "y" of a per-row field."""
-        return a[: self.p] if system == "x" else a[self.p :]
+    def rows(self, a, system: str | int = "x"):
+        """The P rows of one system of a per-row field: "x" for X, an integer
+        j for Y system j, and "y" for Y system 0 (the Y of a pair)."""
+        if system == "x":
+            return a[: self.p]
+        j = 0 if system == "y" else system
+        return a[(1 + j) * self.p : (2 + j) * self.p]
 
-    def dl(self, system: str = "x") -> np.ndarray:
+    def y_systems(self, a):
+        """All Y rows of a per-row field, as (J, P, ...)."""
+        return a[self.p :].reshape(self.n_y, self.p, *a.shape[1:])
+
+    def dl(self, system: str | int = "x") -> np.ndarray:
         """Local-time increments dL of step k, one row per path."""
         return self.rows(self.tilde, system) * self.rows(self.dl_scale, system)[:, None]
 
@@ -166,15 +177,17 @@ def _apply_ball(x_tilde, cfg):
     return x_new, rho, r, h_norm_arr(x_new)
 
 
-def _kernel(model, cfg, p, coupled=False, correction=True):
+def _kernel(model, cfg, p, correction=()):
     """The step of a stacked (R, M) state, as step(s, diag, dw) -> (s_new,
     tilde, rho, r, rn): tilde is the semi-implicit Euler state, s_new =
     rho[:, None] * tilde the state after the ball constraint, r = |tilde|_H
     and rn = |s_new|_H.
 
-    diag is σ(s) and dw holds the Brownian increments of the P rows of X.  In
-    a coupled run (R = 2P) Y row i reuses the increments of X row i and, with
-    correction, gets the steering drift (λ_{N+1}/2) P_N (X − Y).
+    diag is σ(s) and dw holds the Brownian increments of the P rows of X.
+    `correction` holds one flag per Y system (none in a single run), so
+    R = (1 + J) P.  Row i of every Y system reuses the increments of X row
+    i, and the flagged systems get the steering drift
+    (λ_{N+1}/2) P_N (X − Y).
     """
     lam = model.basis.eigenvalues
     m = lam.size
@@ -183,7 +196,11 @@ def _kernel(model, cfg, p, coupled=False, correction=True):
     gamma = model.damping_gamma
     has_b = model.bilinear.kind != "zero"
     n_cut = model.coupling_n
-    corr = 0.5 * float(lam[n_cut]) if (coupled and correction) else 0.0
+    n_sys = 1 + len(correction)
+    corr = 0.5 * float(lam[n_cut]) if any(correction) else 0.0
+    # the steered systems' indices in the (1 + J, P, M) view: a slice when
+    # every Y system is steered, as in a pair
+    steered = slice(1, None) if all(correction) else np.flatnonzero(correction) + 1
 
     def step(s, diag, dw):
         d = model.drift.eval_batch(s)
@@ -192,9 +209,11 @@ def _kernel(model, cfg, p, coupled=False, correction=True):
         if gamma != 0.0:
             d = d - gamma * s
         if corr != 0.0:
-            d[p:, :n_cut] += corr * (s[:p, :n_cut] - s[p:, :n_cut])
-        if coupled:
-            xi = (diag.reshape(2, p, m) * dw).reshape(2 * p, m)
+            d3, s3 = d.reshape(n_sys, p, m), s.reshape(n_sys, p, m)
+            d3[steered, :, :n_cut] += corr * (s3[0, :, :n_cut] - s3[steered, :, :n_cut])
+            d = d3.reshape(-1, m)
+        if n_sys > 1:
+            xi = (diag.reshape(n_sys, p, m) * dw).reshape(-1, m)
         else:
             xi = diag * dw
         # tilde = (s + dt * d + xi) * inv1p, in place in the fresh drift array
@@ -211,7 +230,7 @@ def _kernel(model, cfg, p, coupled=False, correction=True):
 
 def _check_finite(model, r, path_indices, step, dt):
     """Raise DivergedError for the first row whose pre-constraint norm
-    r = |X̃|_H is nonfinite; X rows come before Y rows.
+    r = |X̃|_H is nonfinite; X rows come first, then the Y systems in order.
 
     This covers nonfinite states too: a nonfinite X̃ has a nonfinite r, and
     a finite r makes the constrained state rho * X̃ (rho <= 1) finite."""
@@ -233,42 +252,56 @@ def run_paths(
     path_indices,
     recorders=(),
     y0: np.ndarray | None = None,
-    correction: bool = True,
+    correction=True,
     step0: int = 0,
 ):
-    """Advance a batch of paths (optionally coupled pairs) for n_steps.
+    """Advance a batch of paths (optionally coupled) for n_steps.
 
     x0: (P, M) initial states, one row per entry of path_indices.
-    y0: optional (P, M) second-system starts.  The pairs are then stepped as
-        one stacked (2P, M) batch, X rows first, in which Y row i shares
-        the Brownian increments of X row i.  With correction=True the Y rows
-        get the extra drift (λ_{N+1}/2) P_N (X − Y); correction=False gives
-        the plain synchronous coupling.
+    y0: optional starts of J Y systems, (J, P, M), or (P, M) for the one Y
+        of a pair.  X and every Y system are then stepped as one stacked
+        ((1 + J) P, M) batch, X rows first and system j after system j − 1,
+        in which row i of every Y system shares the Brownian increments of
+        X row i.  Y system j equals the pair run from (x0, y0[j]) with the
+        same seed, path indices and flag, bit for bit.
+    correction: a bool for every Y system, or one bool per system.  A
+        flagged system gets the extra drift (λ_{N+1}/2) P_N (X − Y); an
+        unflagged one is the plain synchronous coupling.
     step0: the step counter at x0.  Local step k reads the noise of step
         step0 + k, and DivergedError reports absolute steps and times, so a
         run resumes from the states it returned: run(0 → a) followed by
         run(a → b, step0=a) equals run(0 → b) bit for bit.  Recorders see
         local step indices.
 
-    Returns (x_final, y_final) where y_final is None for single runs.
+    Returns (x_final, y_final): y_final has y0's shape, and is None for
+    single runs.
     """
     m = model.basis.dim
     p = x0.shape[0]
     path_indices = np.asarray(path_indices, dtype=np.int64)
-    coupled = y0 is not None
-    if (
-        x0.shape != (p, m)
-        or path_indices.shape != (p,)
-        or (coupled and np.shape(y0) != (p, m))
-    ):
-        raise ValidationError("x0 (and y0) must be (P, M) matching path_indices length")
+    if x0.shape != (p, m) or path_indices.shape != (p,):
+        raise ValidationError("x0 must be (P, M) matching path_indices length")
+    ys = ()
+    if y0 is not None:
+        y0 = np.asarray(y0, dtype=float)
+        if y0.shape == (p, m):
+            ys = (y0,)
+        elif y0.ndim == 3 and y0.shape[1:] == (p, m):
+            ys = tuple(y0)
+        else:
+            raise ValidationError("y0 must be (P, M) or (J, P, M) matching x0")
+    if np.ndim(correction) == 0:
+        correction = (bool(correction),) * len(ys)
+    elif len(correction) != len(ys):
+        raise ValidationError(f"correction needs one flag per Y system ({len(ys)})")
+    correction = tuple(bool(c) for c in correction)
     if step0 < 0:
         raise ValidationError("step0 must be nonnegative")
     dt = cfg.dt
-    step = _kernel(model, cfg, p, coupled, correction)
+    step = _kernel(model, cfg, p, correction)
 
-    rt = RunContext(model, cfg, p, n_steps, path_indices, seed)
-    s = np.concatenate([x0, y0], dtype=float) if coupled else np.array(x0, dtype=float)
+    rt = RunContext(model, cfg, p, len(ys), n_steps, path_indices, seed)
+    s = np.concatenate([x0, *ys], dtype=float) if ys else np.array(x0, dtype=float)
     hnorm = h_norm_arr(s)
     diag = model.noise.diag_batch(s, hnorm)
     rt.state, rt.hnorm, rt.diag = s, hnorm, diag
@@ -298,7 +331,9 @@ def run_paths(
         for rec in recorders:
             rec.on_step(rt)
 
-    return (s[:p], s[p:]) if coupled else (s, None)
+    if y0 is None:
+        return s, None
+    return s[:p], s[p:].reshape(y0.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +341,12 @@ def run_paths(
 
 
 class TrajectoryRecorder:
-    """Full state history plus local-time increments; for small batches."""
+    """Full state history plus local-time increments; for small batches.
 
-    def __init__(self, system: str = "x"):
+    system: "x", or the Y system to record (an index j, or "y" for the Y of
+    a pair), as in RunContext.rows."""
+
+    def __init__(self, system: str | int = "x"):
         self.system = system
         self.states = None
         self.increments = None
@@ -337,9 +375,10 @@ class TrajectoryRecorder:
 
 
 class BallRecorder:
-    """Running max of |X|_H over all recorded states, per path."""
+    """Running max of |X|_H over all recorded states, per path, of one
+    system ("x", "y" or a Y system index, as in RunContext.rows)."""
 
-    def __init__(self, system: str = "x"):
+    def __init__(self, system: str | int = "x"):
         self.system = system
         self.max_h = None
 

@@ -404,6 +404,73 @@ def test_resumed_segments_equal_one_run(monkeypatch, scheme, chunk_target):
             assert np.array_equal(one[1], split[1]), (name, y0 is None, correction)
 
 
+@pytest.mark.parametrize("scheme", ["projected", "penalized"])
+@pytest.mark.parametrize("chunk_target", [None, 7 * 4 * 12])
+def test_y_systems_equal_pair_runs(monkeypatch, scheme, chunk_target):
+    # Y system j of a J-system run equals the pair run of (x, y_j) bit for
+    # bit, with the same seed, path indices, step0 and correction flag: every
+    # built-in model kind, mixed flags, a resumed segment (step0 = 23), and
+    # with the small chunk target a chunk boundary inside the run
+    import see_lab.dynamics as dyn
+    from see_lab.dynamics import TrajectoryRecorder, run_paths
+
+    if chunk_target is not None:
+        monkeypatch.setattr(dyn, "_NOISE_CHUNK_TARGET", chunk_target)
+    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    rng = np.random.default_rng(23)
+    idx = np.array([2, 7, 8, 40])
+    flags = (True, False, True, False)
+    for name, model, x0 in _builtin_cases():
+        xs = np.repeat(x0[None, :], 4, axis=0)
+        ys = rng.standard_normal((4, 4, model.dim))
+        ys *= rng.uniform(0.2, 1.0, (4, 4, 1)) / h_norm_arr(ys)[..., None]
+        recs = [TrajectoryRecorder("x")] + [TrajectoryRecorder(j) for j in range(4)]
+        x_end, y_end = run_paths(model, cfg, xs, 37, 5, idx, recorders=recs, y0=ys,
+                                 correction=flags, step0=23)
+        assert y_end.shape == ys.shape
+        for j, flag in enumerate(flags):
+            pair = [TrajectoryRecorder("x"), TrajectoryRecorder("y")]
+            px, py = run_paths(model, cfg, xs, 37, 5, idx, recorders=pair, y0=ys[j],
+                               correction=flag, step0=23)
+            assert np.array_equal(px, x_end) and np.array_equal(py, y_end[j]), (name, j)
+            for one, many in zip(pair, (recs[0], recs[1 + j])):
+                assert np.array_equal(one.states, many.states), (name, j)
+                assert np.array_equal(one.increments, many.increments), (name, j)
+
+
+def test_divergence_on_later_y_system_reports_its_path():
+    from see_lab.dynamics import run_paths
+
+    model = _overflow_model()
+    xs = np.zeros((3, 8))
+    ys = np.zeros((3, 3, 8))
+    ys[2, 1, 0] = 1.0  # only row 1 of Y system 2 blows up
+    with pytest.raises(DivergedError) as err:
+        run_paths(model, StepperConfig(dt=1e-3), xs, 5, 5, [10, 20, 30], y0=ys,
+                  correction=(True, False, False), step0=40)
+    e = err.value
+    assert (e.path_index, e.step, e.model_id) == (20, 41, model.model_id)
+    assert e.h_norm == np.inf
+
+
+@pytest.mark.parametrize("y0_shape,correction", [
+    ((4, 4), True),  # P rows that do not match x0's 3
+    ((3, 5), True),  # M columns that do not match the model's 4
+    ((2, 4, 4), True),
+    ((3,), True),
+    ((1, 2, 3, 4), True),
+    ((2, 3, 4), (True, False, True)),  # 3 flags for 2 Y systems
+    ((3, 4), (True, False)),  # 2 flags for the one Y of a pair
+])
+def test_run_paths_rejects_bad_y0_or_correction(y0_shape, correction):
+    from see_lab.dynamics import run_paths
+
+    model = _noise_free_model()
+    with pytest.raises(ValidationError):
+        run_paths(model, StepperConfig(), np.zeros((3, 4)), 2, 1, [0, 1, 2],
+                  y0=np.zeros(y0_shape), correction=correction)
+
+
 def test_resumed_run_reports_absolute_divergence_step():
     from see_lab.dynamics import run_paths
 

@@ -209,6 +209,32 @@ def test_exp_integrability_benchmark_below_bound():
     assert np.all(series.mean <= bound)
 
 
+def test_exp_integrability_verdict_and_csv_share_one_rule(tmp_path):
+    # verdict and CSV pass column both test mean <= bound + 2se, and the
+    # margin is min(bound + 2se - mean) in the statistic's own units.  At
+    # t = 0.05 the samples give mean = 1.5 b and 2se = 0.548 b (b < mean <=
+    # b + 2se, where the rules used to disagree); at t = 0.1 mean > b + 2se
+    import see_lab.ergodicity as erg
+    from see_lab.ergodicity import write_series_csv
+
+    model = benchmark_model()
+    plan = _plan(n_paths=4, grid=(0.05, 0.1))
+    delta = 0.25
+    b = erg.exp_integrability_bound(model, delta, plan.t_grid)
+    z = np.stack([b[0] * np.array([0.9, 1.2, 1.8, 2.1]),
+                  b[1] * np.array([1.9, 2.0, 2.1, 2.0])], axis=1)
+    vals = {"vint": np.log(z)[None] / (4.0 * delta)}
+    series, bound, verdict = erg._exp_integrability(model, delta, plan, vals)
+    slack = bound + 2.0 * series.stderr - series.mean
+    assert series.mean[0] > bound[0] and slack[0] >= 0.0 and slack[1] < 0.0
+    write_series_csv(tmp_path / "exp.csv", series, bound)
+    rows = (tmp_path / "exp.csv").read_text().splitlines()[1:]
+    assert [r.rsplit(",", 1)[1] for r in rows] == ["true", "false"]
+    assert not verdict.passed
+    assert verdict.margin == float(slack.min())
+    assert verdict.detail.startswith("E[exp(4d*int ||X||^2)] <= bound + 2se")
+
+
 def test_exp_integrability_rejects_bad_delta():
     with pytest.raises(ValidationError):
         exp_integrability_estimate(benchmark_model(), np.zeros(16), 1.5, _plan())
@@ -697,9 +723,9 @@ def test_plan_with_matching_model_id_runs():
 
 
 def test_battery_steps_each_start_pair_once(monkeypatch):
-    # 8 runs: one steered pair from (x, y) for four estimators,
-    # exp-integrability, Lyapunov, Feller's stacked scales, contraction,
-    # d-smallness, the occupation chain and the invariance restarts.  Only
+    # 6 runs: one run from x with four Y systems (the steered y and Feller's
+    # three synchronous scales) for six estimators, Lyapunov, contraction,
+    # d-smallness, the occupation chains and the invariance restarts.  Only
     # calls with step0 == 0 start a run: contraction_check resumes its run
     # once per further grid segment
     import see_lab.ergodicity as erg
@@ -719,12 +745,34 @@ def test_battery_steps_each_start_pair_once(monkeypatch):
     plan = MonteCarloPlan(4, np.array([0.02, 0.04, 0.06]), 7, StepperConfig(dt=1e-2))
     x, y = _e(model.dim, 0, 0.5), _e(model.dim, 0, -0.5)
     _quiet(erg.run_ergodicity_battery, model, plan, x=x, y=y, occupation=True)
-    assert len(calls) == 8
-    steered = [
-        c for c in calls
-        if c[1] is not None and c[2] and np.all(c[0] == x) and np.all(c[1] == y)
-    ]
-    assert len(steered) == 1
+    assert len(calls) == 6
+    from_x = [c for c in calls if c[1] is not None and np.all(c[0] == x)]
+    assert len(from_x) == 1
+    _, y0, correction = from_x[0]
+    assert y0.shape == (4, plan.n_paths, model.dim)
+    starts = [y] + [x + s * (y - x) for s in (1.0, 0.1, 0.01)]
+    assert all(np.all(rows == start) for rows, start in zip(y0, starts))
+    assert tuple(correction) == (True, False, False, False)
+
+
+def test_battery_exp_integrability_reads_the_run_from_x():
+    # the battery's exp-integrability series is exp(4δ ∫‖X‖²_V) of the X rows
+    # of its run from x, bit for bit: X stepped alone under the same tag
+    import see_lab.ergodicity as erg
+    from see_lab.coupling import select_delta
+
+    model = benchmark_model()
+    plan = _plan(n_paths=8)
+    _, series = _quiet(erg.run_ergodicity_battery, model, plan, occupation=False)
+    vsq = erg._SqNormIntegral(model.basis.eigenvalues)
+    vals = erg._run_captured(model, plan, _e(model.dim, 0, 0.5), "steered_pair",
+                             {"vint": lambda rt: vsq.trapz}, integrals=[vsq])
+    delta = select_delta(model)[0]
+    alone = erg._series_from_values(plan.t_grid, np.exp(4.0 * delta * vals["vint"][0]))
+    got, bound = series["exp_integrability"]
+    assert np.array_equal(got.mean, alone.mean)
+    assert np.array_equal(got.stderr, alone.stderr)
+    assert np.array_equal(bound, erg.exp_integrability_bound(model, delta, plan.t_grid))
 
 
 @pytest.mark.parametrize("contracts", [True, False])
@@ -770,7 +818,7 @@ def test_battery_shift_cost_nan_without_pseudo_inverse(tmp_path):
     save_battery_outputs(tmp_path, report, series)
     summary = (tmp_path / "summary.txt").read_text()
     assert "girsanov shift cost (mean int ||beta||^2 dt) = nan\n" in summary
-    assert "battery_version = 5\n" in summary
+    assert "battery_version = 6\n" in summary
 
 
 def test_battery_summary_reports_occupation_chains(tmp_path):

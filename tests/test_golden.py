@@ -142,7 +142,10 @@ def test_cli_output_tree_digest(tmp_path):
 # batch axis, with between-chain standard errors
 # battery_version 4: the ∫‖X‖²_V time average leaves out the burn-in
 # battery_version 5: d-smallness is checked at the contraction time t0
-BATTERY_SHA256 = "b28e903844a9d28ff7cb345e082627a1f2ab2f9461e757eb18c7b6aef3ddaea1"
+# battery_version 6: X is stepped once from x, with the steered Y and
+# Feller's scales as Y systems of the "steered_pair" run; exp-integrability
+# reads that run's ∫‖X‖²_V and tests mean ≤ bound + 2se
+BATTERY_SHA256 = "bdb3bd90e74c1eaa59c3114be09a894577fafae53a7441840484f50fd4c1fe30"
 
 
 def test_battery_digest():
@@ -166,7 +169,9 @@ def test_battery_digest():
     assert h.hexdigest() == BATTERY_SHA256
 
 
-STANDALONE_ESTIMATOR_SHA256 = "1255521bbbf054ea1470398f341c89667ac7d4d5b123f4472f9eb22d432347e5"
+# exp_integrability's verdict tests mean ≤ bound + 2se, with its margin in
+# the statistic's own units (the series and every other estimator held)
+STANDALONE_ESTIMATOR_SHA256 = "7e3da793cc52ba98837cb354bd6416c885bd6319192dedef45ab4be4127d0f8f"
 
 
 def test_standalone_estimator_digest():
