@@ -55,7 +55,7 @@ from .ergodicity import (
     weighted_contraction_estimate,
 )
 from .errors import ConfigError, DivergedError, SeeLabError, ValidationError
-from .nse import NseModel, build_nse_model, nse_trilinear, run_nse_experiment
+from .nse import NseModel, build_nse_model, nse_trilinear, nse_verdicts
 from .rng import gaussian_increments
 from .spectral import (
     H1Report,

@@ -4,12 +4,15 @@
             [--out DIR] [--workers INT]
 
 Subcommands: simulate, couple, verify-model, ergodicity, nse, convergence.
-All outputs land under --out together with a manifest.txt; the process exits
-0 iff every verdict of the requested experiment passed.  Each experiment
-steps its paths as one batch, so --workers is accepted and has no effect.
-Reruns with the same effective config produce byte-identical result files:
-path results depend only on (seed, path_index), and files are written in a
-fixed order.
+`nse` needs a `[model] kind = nse` config: `--experiment simulate` and
+`--experiment ergodicity` run those subcommands on it, and the default
+`--experiment verify-model` writes the instance's own checks to
+nse_verify.txt.  All outputs land under --out together with a manifest.txt;
+the process exits 0 iff every verdict of the requested experiment passed.
+Each experiment steps its paths as one batch, so --workers is accepted and
+has no effect.  Reruns with the same effective config produce byte-identical
+result files: path results depend only on (seed, path_index), and files are
+written in a fixed order.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .dynamics import (
 )
 from .ergodicity import Verdict, run_ergodicity_battery, save_battery_outputs
 from .errors import ConfigError, SeeLabError
+from .nse import nse_verdicts
 from .spectral import h_norm_arr, validate_h1
 
 
@@ -61,6 +65,16 @@ def write_manifest(out_dir, cfg_hash, wall_clock, files, verdicts):
     with open(tmp, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     os.replace(tmp, os.path.join(out_dir, "manifest.txt"))
+
+
+def _write_verdicts(out_dir, name, verdicts):
+    """Write one `[PASS]/[FAIL] name: detail` line per verdict to
+    out_dir/name and return the file's path."""
+    path = os.path.join(out_dir, name)
+    with open(path, "w") as fh:
+        for v in verdicts:
+            fh.write(f"[{'PASS' if v.passed else 'FAIL'}] {v.name}: {v.detail}\n")
+    return path
 
 
 def _write_failures(out_dir, verdicts):
@@ -168,14 +182,8 @@ def cmd_verify_model(cfg, args, out_dir):
                 f"lambda_(N+1)={h1.lambda_next:g} > {h1.threshold:g}, pinv {h1.pinv_ok}"),
     ]
     if nse_model is not None:
-        from .nse import run_nse_experiment
-
-        verdicts += run_nse_experiment(nse_model, "verify-model", seed=seed)["verdicts"]
-    lines = [f"[{'PASS' if v.passed else 'FAIL'}] {v.name}: {v.detail}" for v in verdicts]
-    path = os.path.join(out_dir, "verify_model.txt")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return [path], verdicts
+        verdicts += nse_verdicts(nse_model, seed)
+    return [_write_verdicts(out_dir, "verify_model.txt", verdicts)], verdicts
 
 
 def cmd_ergodicity(cfg, args, out_dir):
@@ -193,34 +201,14 @@ def cmd_ergodicity(cfg, args, out_dir):
 
 
 def cmd_nse(cfg, args, out_dir):
-    nse_model, model = _model_and_spec(cfg)
-    if nse_model is None:
+    if cfg.get("model", "kind") != "nse":
         raise ConfigError(["the nse subcommand needs [model] kind=nse"])
-    from .nse import run_nse_experiment
-
-    seed = args.seed if args.seed is not None else None
-    n_paths = args.paths if args.paths is not None else None
-    if args.experiment == "verify-model":
-        res = run_nse_experiment(nse_model, "verify-model",
-                                 seed=seed if seed is not None else 0)
-        verdicts = res["verdicts"]
-        path = os.path.join(out_dir, "nse_verify.txt")
-        with open(path, "w") as fh:
-            for v in verdicts:
-                fh.write(f"[{'PASS' if v.passed else 'FAIL'}] {v.name}: {v.detail}\n")
-        return [path], verdicts
-    plan = plan_from_config(cfg, seed=seed, n_paths=n_paths)
-    if args.experiment == "simulate":
-        res = run_nse_experiment(nse_model, "simulate", plan=plan, out_dir=out_dir)
-        files = [
-            os.path.join(out_dir, f"path_{plan.base_seed}_{i}.csv")
-            for i in range(plan.n_paths)
-        ]
-        return files, []
-    dist = distance_from_config(cfg, model)
-    res = run_nse_experiment(nse_model, "ergodicity", plan=plan, dist=dist)
-    files = save_battery_outputs(out_dir, res["report"], res["series"])
-    return files, res["report"].verdicts
+    if args.experiment != "verify-model":
+        return _COMMANDS[args.experiment](cfg, args, out_dir)
+    nse_model, _ = _model_and_spec(cfg)
+    seed = args.seed if args.seed is not None else 0
+    verdicts = nse_verdicts(nse_model, seed)
+    return [_write_verdicts(out_dir, "nse_verify.txt", verdicts)], verdicts
 
 
 def cmd_convergence(cfg, args, out_dir):

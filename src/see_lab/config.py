@@ -225,12 +225,7 @@ def parse_config(path) -> ExperimentConfig:
     violation with its line number."""
     with open(path) as fh:
         text = fh.read()
-    values, violations = _parse_lines(text)
-    cfg = ExperimentConfig(values=values, source=str(path))
-    _validate(cfg, violations)
-    if violations:
-        raise ConfigError(violations)
-    return cfg
+    return parse_config_text(text, source=str(path))
 
 
 def parse_config_text(text: str, source: str = "<memory>") -> ExperimentConfig:

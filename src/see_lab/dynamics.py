@@ -212,10 +212,7 @@ def _kernel(model, cfg, p, correction=()):
             d3, s3 = d.reshape(n_sys, p, m), s.reshape(n_sys, p, m)
             d3[steered, :, :n_cut] += corr * (s3[0, :, :n_cut] - s3[steered, :, :n_cut])
             d = d3.reshape(-1, m)
-        if n_sys > 1:
-            xi = (diag.reshape(n_sys, p, m) * dw).reshape(-1, m)
-        else:
-            xi = diag * dw
+        xi = (diag.reshape(n_sys, p, m) * dw).reshape(-1, m)
         # tilde = (s + dt * d + xi) * inv1p, in place in the fresh drift array
         d *= dt
         d += s

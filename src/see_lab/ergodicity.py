@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -181,12 +181,18 @@ def _run_captured(
     starts is (M,) or (S, M).  A coupled run adds J Y systems: y_starts is
     (J, S, M), system j of start s begins at y_starts[j, s], and
     `correction` flags the steered systems.  `integrals` are the recorders
-    the channels read; they run before the capture.  Returns dict name ->
+    the channels read; they run before the capture.  Every start row and
+    Y start row must have length M and lie in the closed unit ball, as in
+    simulate_path.  Returns dict name ->
     (..., S, n_paths, G), the leading axes those of the channel's value.
     """
     plan.check_model(model)
     grid_steps = plan.grid_steps
-    x0 = np.repeat(np.atleast_2d(np.asarray(starts, dtype=float)), plan.n_paths, axis=0)
+    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    y_rows = () if y_starts is None else y_starts.reshape(-1, y_starts.shape[-1])
+    for row in (*starts, *y_rows):
+        _as_batch_x0(model, row)  # length M and inside the closed unit ball
+    x0 = np.repeat(starts, plan.n_paths, axis=0)
     y0 = None if y_starts is None else np.repeat(y_starts, plan.n_paths, axis=1)
     cap = ValueCapture(grid_steps, channels, sups)
     run_paths(
@@ -476,8 +482,7 @@ def wasserstein_upper(
     """Coupled-pair mean distance at time t: an upper proxy for the coupling
     distance between the two time-t laws (the steered pair is one coupling).
     Returns (mean, stderr)."""
-    sub = MonteCarloPlan(plan.n_paths, np.array([t]) if t > 0 else np.array([0.0]),
-                         plan.base_seed, plan.cfg, plan.model_id)
+    sub = replace(plan, t_grid=np.array([t]) if t > 0 else np.array([0.0]))
     series = coupled_distance_series(model, x, y, sub, p, seed_tag="wasserstein_upper")
     return float(series.mean[-1]), float(series.stderr[-1])
 
@@ -495,7 +500,6 @@ def contraction_check(
     model: ModelSpec,
     plan: MonteCarloPlan,
     p: DistanceParams,
-    t0_search_grid=None,
     n_pairs: int = 20,
 ):
     """Find the smallest grid time t0 at which the coupled-pair distance
@@ -507,9 +511,7 @@ def contraction_check(
 
     Returns (verdict, t0 or None, alpha) where alpha is the worst ratio at t0.
     """
-    grid = np.asarray(t0_search_grid if t0_search_grid is not None else plan.t_grid,
-                      dtype=float)
-    grid = grid[grid > 0.0]
+    grid = plan.t_grid[plan.t_grid > 0.0]
     if grid.size == 0:
         raise ValidationError("t0 search grid needs positive times")
     rng = np.random.default_rng(derive_seed(plan.base_seed, "contraction_pairs"))
@@ -519,7 +521,7 @@ def contraction_check(
     if np.any(d0 >= 1.0) or np.any(d0 <= 0.0):
         raise ValidationError("sampled pairs must have 0 < d(x,y) < 1")
 
-    sub = MonteCarloPlan(plan.n_paths, grid, plan.base_seed, plan.cfg, plan.model_id)
+    sub = replace(plan, t_grid=grid)
     plan.check_model(model)
     seed = derive_seed(plan.base_seed, "contraction_check")
     x, y = (np.repeat(a, plan.n_paths, axis=0) for a in (xs, ys))
@@ -574,7 +576,7 @@ def d_small_check(
     radius = min(1.0, float(np.sqrt(max(m_level, 0.0))))
     xs = sample_ball(rng, n_pairs, m, radius=radius)
     ys = sample_ball(rng, n_pairs, m, radius=radius)
-    sub = MonteCarloPlan(plan.n_paths, np.array([t]), plan.base_seed, plan.cfg, plan.model_id)
+    sub = replace(plan, t_grid=np.array([t]))
     d = _distance(_pair_values(model, sub, xs, [ys], "d_small_check"), p)
     sup = float(np.max(d.mean(axis=1) + 2.0 * d.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)))
     eps = 1.0 - sup
@@ -893,8 +895,7 @@ def run_ergodicity_battery(
     if y is None:
         y = np.zeros(m)
         y[0] = -0.5
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = (_as_batch_x0(model, v)[0] for v in (x, y))
     delta, expo = select_delta(model)
     if dist is None:
         dist = DistanceParams(n_tilde=1.0, delta=delta)

@@ -37,8 +37,9 @@ from .coefficients import (
     diag_affine_noise,
     inverse_mode_amplitudes,
 )
+from .ergodicity import Verdict
 from .errors import ValidationError
-from .spectral import SpectralBasis, h_norm_arr, validate_h1
+from .spectral import SpectralBasis, validate_h1
 
 _NORM = 1.0 / (math.sqrt(2.0) * math.pi)  # L² normalization on [0, 2π]²
 
@@ -280,69 +281,39 @@ def divergence_structure_ok(grid: FourierGrid) -> bool:
     return True
 
 
-def run_nse_experiment(nse: NseModel, kind: str, plan=None, out_dir=None, **kw):
-    """Dispatch the instance into the generic machinery.
-
-    kinds: "verify-model" (structure + form bounds + both spectral-gap
-    variants), "simulate" (paths + energy diagnostics), "ergodicity"
-    (full estimator battery)."""
-    from .ergodicity import Verdict
-
+def nse_verdicts(nse: NseModel, seed: int = 0) -> list:
+    """The instance's own checks: divergence-free structure, the form
+    bounds, and both spectral-gap variants."""
     model = nse.spec
-    if kind == "verify-model":
-        seed = kw.get("seed", 0)
-        fb = check_form_bounds(model, samples=kw.get("samples", 1000), seed=seed)
-        h1_nse = validate_h1(model, variant="nse")
-        h1_gen = validate_h1(model, variant="generic")
-        verdicts = [
-            Verdict(
-                "divergence_free_structure",
-                divergence_structure_ok(nse.grid),
-                0.0,
-                "all basis fields satisfy k_perp . k = 0 exactly",
-            ),
-            Verdict(
-                "form_bounds",
-                fb.passed,
-                1.0 + 1e-9 - max(fb.max_ratio_trilinear, fb.max_ratio_bmap),
-                f"trilinear ratio {fb.max_ratio_trilinear:.3g}, "
-                f"B(u,u) ratio {fb.max_ratio_bmap:.3g} <= 1+1e-9",
-            ),
-            Verdict(
-                "h1_nse_variant",
-                h1_nse.passed and h1_nse.pinv_ok,
-                h1_nse.lambda_next - h1_nse.threshold,
-                f"lambda_(N+1)={h1_nse.lambda_next:g} vs (32/3)|s0|^2+12C1+16g^2"
-                f"={h1_nse.threshold:g}",
-            ),
-            Verdict(
-                "h1_generic_variant",
-                h1_gen.passed and h1_gen.pinv_ok,
-                h1_gen.lambda_next - h1_gen.threshold,
-                f"lambda_(N+1)={h1_gen.lambda_next:g} vs generic threshold"
-                f"={h1_gen.threshold:g}",
-            ),
-        ]
-        return {"verdicts": verdicts}
-    if kind == "simulate":
-        from .dynamics import dump_path_csv, simulate_paths
-
-        x0 = kw.get("x0")
-        if x0 is None:
-            x0 = np.zeros(model.dim)
-        cfg = plan.cfg if plan is not None else kw["cfg"]
-        seed = plan.base_seed if plan is not None else kw.get("seed", 0)
-        t_final = kw.get("t_final", float(plan.t_grid[-1]) if plan is not None else 1.0)
-        n_paths = plan.n_paths if plan is not None else kw.get("n_paths", 1)
-        paths = simulate_paths(model, x0, t_final, cfg, seed, range(n_paths))
-        if out_dir is not None:
-            for path in paths:
-                dump_path_csv(path, out_dir)
-        energies = np.stack([h_norm_arr(p.states) ** 2 for p in paths])
-        return {"paths": paths, "energies": energies}
-    if kind == "ergodicity":
-        from .ergodicity import run_ergodicity_battery
-
-        report, series = run_ergodicity_battery(model, plan, **kw)
-        return {"report": report, "series": series}
-    raise ValidationError(f"unknown experiment kind {kind!r}")
+    fb = check_form_bounds(model, samples=1000, seed=seed)
+    h1_nse = validate_h1(model, variant="nse")
+    h1_gen = validate_h1(model, variant="generic")
+    return [
+        Verdict(
+            "divergence_free_structure",
+            divergence_structure_ok(nse.grid),
+            0.0,
+            "all basis fields satisfy k_perp . k = 0 exactly",
+        ),
+        Verdict(
+            "form_bounds",
+            fb.passed,
+            1.0 + 1e-9 - max(fb.max_ratio_trilinear, fb.max_ratio_bmap),
+            f"trilinear ratio {fb.max_ratio_trilinear:.3g}, "
+            f"B(u,u) ratio {fb.max_ratio_bmap:.3g} <= 1+1e-9",
+        ),
+        Verdict(
+            "h1_nse_variant",
+            h1_nse.passed and h1_nse.pinv_ok,
+            h1_nse.lambda_next - h1_nse.threshold,
+            f"lambda_(N+1)={h1_nse.lambda_next:g} vs (32/3)|s0|^2+12C1+16g^2"
+            f"={h1_nse.threshold:g}",
+        ),
+        Verdict(
+            "h1_generic_variant",
+            h1_gen.passed and h1_gen.pinv_ok,
+            h1_gen.lambda_next - h1_gen.threshold,
+            f"lambda_(N+1)={h1_gen.lambda_next:g} vs generic threshold"
+            f"={h1_gen.threshold:g}",
+        ),
+    ]

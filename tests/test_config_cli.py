@@ -315,6 +315,61 @@ def test_cli_nse_ergodicity_reads_distance(tmp_path):
     assert "distance: n_tilde=1.0 delta=0.3\n" in summary
 
 
+def _output_bytes(out):
+    """Every file of a run directory, the manifest without its wall clock."""
+    files = {}
+    for name in sorted(os.listdir(out)):
+        data = open(os.path.join(out, name), "rb").read()
+        if name == "manifest.txt":
+            data = b"\n".join(
+                ln for ln in data.splitlines() if not ln.startswith(b"wall_clock")
+            )
+        files[name] = data
+    return files
+
+
+@pytest.mark.parametrize("experiment", ["simulate", "ergodicity"])
+def test_cli_nse_experiment_is_the_generic_subcommand(tmp_path, experiment):
+    text = (
+        "[model]\nkind = nse\n[nse]\nkappa = 1\ngamma = 1.0\n[stepper]\nt = 0.02\n"
+        "[plan]\nn_paths = 2\n"
+    )
+    cfg = _write(tmp_path, text)
+    out_nse, out_generic = str(tmp_path / "nse"), str(tmp_path / "generic")
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc_nse = main(["nse", "--config", cfg, "--experiment", experiment, "--out", out_nse])
+        rc_generic = main([experiment, "--config", cfg, "--out", out_generic])
+    assert rc_nse == rc_generic
+    assert _output_bytes(out_nse) == _output_bytes(out_generic)
+
+
+def test_cli_nse_simulate_starts_at_x0(tmp_path):
+    text = (
+        "[model]\nkind = nse\n[nse]\nkappa = 1\ngamma = 1.0\n[stepper]\nt = 0.02\n"
+        "[plan]\nn_paths = 2\nx0 = 0.3,0,0,0\n"
+    )
+    cfg = _write(tmp_path, text)
+    out = str(tmp_path / "nse")
+    assert main(["nse", "--config", cfg, "--experiment", "simulate", "--out", out]) == 0
+    paths = sorted(n for n in os.listdir(out) if n.startswith("path_"))
+    assert len(paths) == 2
+    for name in paths:
+        first = open(os.path.join(out, name)).read().splitlines()[1]
+        assert first == "0.0,0.3,0.0,0.0,0.0,0.0"
+
+
+@pytest.mark.parametrize("experiment", ["verify-model", "simulate"])
+def test_cli_nse_rejects_a_generic_config(tmp_path, capsys, experiment):
+    cfg = _write(tmp_path, MINIMAL)
+    out = str(tmp_path / "nse")
+    assert main(["nse", "--config", cfg, "--experiment", experiment, "--out", out]) == 1
+    assert "needs [model] kind=nse" in capsys.readouterr().err
+    assert not any(n.startswith("path_") for n in os.listdir(out))
+
+
 def test_cli_ergodicity_small(tmp_path):
     text = """
 [basis]

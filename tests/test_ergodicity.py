@@ -28,6 +28,7 @@ from see_lab.ergodicity import (
     invariance_residual,
     lyapunov_check,
     occupation_sampler,
+    run_ergodicity_battery,
     wasserstein_upper,
     weighted_contraction_estimate,
 )
@@ -717,6 +718,37 @@ def test_plan_with_matching_model_id_runs():
                           model_id=model.model_id)
     series, verdict, _ = lyapunov_check(model, _e(model.dim, 0, 0.1), plan)
     assert verdict.passed
+
+
+_BAD_START_CALLS = {
+    "weighted_contraction_x": lambda m, p, ok, bad: weighted_contraction_estimate(m, bad, ok, p),
+    "weighted_contraction_y": lambda m, p, ok, bad: weighted_contraction_estimate(m, ok, bad, p),
+    "exp_integrability": lambda m, p, ok, bad: exp_integrability_estimate(m, bad, 0.01, p),
+    "lyapunov": lambda m, p, ok, bad: lyapunov_check(m, bad, p),
+    "battery_x": lambda m, p, ok, bad: run_ergodicity_battery(m, p, x=bad, occupation=False),
+    "battery_y": lambda m, p, ok, bad: run_ergodicity_battery(m, p, y=bad, occupation=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_START_CALLS))
+def test_estimators_reject_starts_outside_the_ball(name):
+    # the start rule of simulate_path, |x|_H <= 1 + TOL_BALL, holds for every
+    # X start and Y start; lyapunov_check's bound grows with |x|² and used to
+    # pass from 3e_1
+    model = benchmark_model()
+    plan = _plan(n_paths=4, grid=(0.01,))
+    with pytest.raises(ValidationError, match="outside the closed unit ball"):
+        _quiet(_BAD_START_CALLS[name], model, plan, _e(model.dim, 0, 0.5),
+               _e(model.dim, 0, 3.0))
+
+
+@pytest.mark.parametrize("name", ["exp_integrability", "lyapunov", "battery_x", "battery_y"])
+def test_estimators_reject_starts_of_the_wrong_length(name):
+    model = benchmark_model()
+    plan = _plan(n_paths=4, grid=(0.01,))
+    with pytest.raises(ValidationError, match="model dim"):
+        _quiet(_BAD_START_CALLS[name], model, plan, _e(model.dim, 0, 0.5),
+               np.zeros(model.dim - 1))
 
 
 # battery -------------------------------------------------------------------

@@ -11,7 +11,7 @@ from see_lab.nse import (
     build_nse_model,
     divergence_structure_ok,
     nse_trilinear,
-    run_nse_experiment,
+    nse_verdicts,
     velocity_field,
 )
 from see_lab.spectral import h_norm_arr, h1_threshold_nse, validate_h1
@@ -258,36 +258,30 @@ def test_h1_nse_threshold_formula_exact():
     assert rep.threshold == h1_threshold_nse(model.spec.sigma0_hs, 0.7, 1.25)
 
 
-def test_run_nse_experiment_verify_model():
+def test_nse_verdicts():
     model = build_nse_model(kappa=2, gamma=1.0)
-    res = run_nse_experiment(model, "verify-model", seed=11)
-    names = {v.name for v in res["verdicts"]}
-    assert {"divergence_free_structure", "form_bounds", "h1_nse_variant",
-            "h1_generic_variant"} <= names
-    by_name = {v.name: v for v in res["verdicts"]}
+    verdicts = nse_verdicts(model, seed=11)
+    assert [v.name for v in verdicts] == [
+        "divergence_free_structure", "form_bounds", "h1_nse_variant", "h1_generic_variant",
+    ]
+    by_name = {v.name: v for v in verdicts}
     assert by_name["divergence_free_structure"].passed
     assert by_name["form_bounds"].passed
 
 
-def test_run_nse_experiment_unknown_kind():
-    model = build_nse_model(kappa=1, gamma=1.0)
-    with pytest.raises(ValidationError):
-        run_nse_experiment(model, "nonsense")
-
-
-def test_run_nse_experiment_ergodicity_contraction():
+def test_nse_ergodicity_contraction():
     # small gap-dominant instance: strong damping makes the coupled pair
     # contract and the battery's contraction verdict must come back
     import warnings
 
-    from see_lab.ergodicity import MonteCarloPlan
+    from see_lab.ergodicity import MonteCarloPlan, run_ergodicity_battery
 
     model = build_nse_model(kappa=1, gamma=1.0, sigma0=0.05, coupling_n=3)
     plan = MonteCarloPlan(n_paths=24, t_grid=np.array([0.5, 1.0, 2.0]),
                           base_seed=41, cfg=StepperConfig(dt=1e-3))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = run_nse_experiment(model, "ergodicity", plan=plan, occupation=False)
-    verdicts = {v.name: v for v in res["report"].verdicts}
+        report, _ = run_ergodicity_battery(model.spec, plan, occupation=False)
+    verdicts = {v.name: v for v in report.verdicts}
     assert "contraction" in verdicts
     assert verdicts["contraction"].passed
