@@ -4,10 +4,10 @@
             [--out DIR] [--workers INT]
 
 Subcommands: simulate, couple, verify-model, ergodicity, nse, convergence.
-`nse` needs a `[model] kind = nse` config: `--experiment simulate` and
-`--experiment ergodicity` run those subcommands on it, and the default
-`--experiment verify-model` writes the instance's own checks to
-nse_verify.txt.  All outputs land under --out together with a manifest.txt;
+`nse` needs a `[model] kind = nse` config and runs the subcommand named by
+`--experiment` (verify-model, the default, simulate or ergodicity) on it;
+on such a config `verify-model` adds the instance's own checks.  All
+outputs land under --out together with a manifest.txt;
 the process exits 0 iff every verdict of the requested experiment passed.
 Each experiment steps its paths as one batch, so --workers is accepted and
 has no effect.  Reruns with the same effective config produce byte-identical
@@ -42,7 +42,7 @@ from .dynamics import (
     penalization_convergence_study,
     simulate_paths,
 )
-from .ergodicity import Verdict, run_ergodicity_battery, save_battery_outputs
+from .ergodicity import Verdict, h1_verdict, run_ergodicity_battery, save_battery_outputs
 from .errors import ConfigError, SeeLabError
 from .nse import nse_verdicts
 from .spectral import h_norm_arr, validate_h1
@@ -59,35 +59,23 @@ def write_manifest(out_dir, cfg_hash, wall_clock, files, verdicts):
     ]
     lines += [f"  {os.path.basename(f)}" for f in sorted(files)]
     lines.append("verdicts:")
-    for v in verdicts:
-        lines.append(f"  [{'PASS' if v.passed else 'FAIL'}] {v.name}: {v.detail}")
+    lines += [f"  {v.line}" for v in verdicts]
     tmp = os.path.join(out_dir, ".manifest.tmp")
     with open(tmp, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     os.replace(tmp, os.path.join(out_dir, "manifest.txt"))
 
 
-def _write_verdicts(out_dir, name, verdicts):
-    """Write one `[PASS]/[FAIL] name: detail` line per verdict to
-    out_dir/name and return the file's path."""
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        for v in verdicts:
-            fh.write(f"[{'PASS' if v.passed else 'FAIL'}] {v.name}: {v.detail}\n")
-    return path
-
-
 def _write_failures(out_dir, verdicts):
-    failures = [
-        {"name": v.name, "detail": v.detail, "margin": v.margin}
-        for v in verdicts
-        if not v.passed
-    ]
+    failures = [v for v in verdicts if not v.passed]
     if failures:
         with open(os.path.join(out_dir, "failures.json"), "w") as fh:
-            json.dump(failures, fh, indent=2, sort_keys=True)
-        for f in failures:
-            print(f"FAIL {f['name']}: {f['detail']}", file=sys.stderr)
+            json.dump(
+                [{"name": v.name, "detail": v.detail, "margin": v.margin} for v in failures],
+                fh, indent=2, sort_keys=True,
+            )
+        for v in failures:
+            print(v.line, file=sys.stderr)
     return failures
 
 
@@ -165,7 +153,6 @@ def cmd_verify_model(cfg, args, out_dir):
     lp = lipschitz_probe(model, pairs=1000, seed=seed)
     fb = check_form_bounds(model, samples=1000, seed=seed + 1)
     anti = check_antisymmetry(model, samples=1000, seed=seed + 2)
-    h1 = validate_h1(model)
     verdicts = [
         Verdict("lipschitz_a1", lp.passed, lp.declared - lp.estimate,
                 f"sampled constant {lp.estimate:.6g} <= declared C1 {lp.declared:g}"),
@@ -177,13 +164,14 @@ def cmd_verify_model(cfg, args, out_dir):
                 1e-12 - max(anti.max_antisymmetry_resid, anti.max_cancellation_resid),
                 f"antisym {anti.max_antisymmetry_resid:.2e}, cancel "
                 f"{anti.max_cancellation_resid:.2e}, riesz {anti.max_riesz_resid:.2e}"),
-        Verdict("h1_spectral_gap", h1.passed and h1.pinv_ok,
-                h1.lambda_next - h1.threshold,
-                f"lambda_(N+1)={h1.lambda_next:g} > {h1.threshold:g}, pinv {h1.pinv_ok}"),
+        h1_verdict(model),
     ]
     if nse_model is not None:
-        verdicts += nse_verdicts(nse_model, seed)
-    return [_write_verdicts(out_dir, "verify_model.txt", verdicts)], verdicts
+        verdicts += nse_verdicts(nse_model)
+    path = os.path.join(out_dir, "verify_model.txt")
+    with open(path, "w") as fh:
+        fh.writelines(f"{v.line}\n" for v in verdicts)
+    return [path], verdicts
 
 
 def cmd_ergodicity(cfg, args, out_dir):
@@ -203,12 +191,7 @@ def cmd_ergodicity(cfg, args, out_dir):
 def cmd_nse(cfg, args, out_dir):
     if cfg.get("model", "kind") != "nse":
         raise ConfigError(["the nse subcommand needs [model] kind=nse"])
-    if args.experiment != "verify-model":
-        return _COMMANDS[args.experiment](cfg, args, out_dir)
-    nse_model, _ = _model_and_spec(cfg)
-    seed = args.seed if args.seed is not None else 0
-    verdicts = nse_verdicts(nse_model, seed)
-    return [_write_verdicts(out_dir, "nse_verify.txt", verdicts)], verdicts
+    return _COMMANDS[args.experiment](cfg, args, out_dir)
 
 
 def cmd_convergence(cfg, args, out_dir):

@@ -21,6 +21,7 @@ from .errors import DimensionMismatch, ValidationError
 from .spectral import (
     SpectralBasis,
     StateVector,
+    _coeffs,
     h_norm_arr,
     v_norm_arr,
     v_star_norm_arr,
@@ -353,21 +354,17 @@ def build_model(
 
 def _check_dim(model: ModelSpec, *vs):
     for v in vs:
-        c = v.coeffs if isinstance(v, StateVector) else np.asarray(v)
+        c = _coeffs(v)
         if c.shape[-1] != model.dim:
             raise DimensionMismatch(
                 f"vector length {c.shape[-1]} != model dim {model.dim}"
             )
 
 
-def _arr(v) -> np.ndarray:
-    return v.coeffs if isinstance(v, StateVector) else np.asarray(v, dtype=float)
-
-
 def eval_drift(model: ModelSpec, u) -> StateVector:
     """Coefficient representation of f(u)."""
     _check_dim(model, u)
-    out = model.drift.eval_batch(_arr(u)[None, :])[0]
+    out = model.drift.eval_batch(_coeffs(u)[None, :])[0]
     return StateVector(out, model.basis)
 
 
@@ -375,14 +372,14 @@ def trilinear_form(model: ModelSpec, u, v, w) -> float:
     """b̄(u, v, w) = ⟨B(u,v), w⟩."""
     _check_dim(model, u, v, w)
     return float(
-        model.bilinear.trilinear_batch(_arr(u)[None], _arr(v)[None], _arr(w)[None])[0]
+        model.bilinear.trilinear_batch(_coeffs(u)[None], _coeffs(v)[None], _coeffs(w)[None])[0]
     )
 
 
 def eval_bilinear(model: ModelSpec, u, v) -> StateVector:
     """Riesz representation B(u, v) of the trilinear form in the w slot."""
     _check_dim(model, u, v)
-    out = model.bilinear.bilinear_batch(_arr(u)[None], _arr(v)[None])[0]
+    out = model.bilinear.bilinear_batch(_coeffs(u)[None], _coeffs(v)[None])[0]
     return StateVector(out, model.basis)
 
 
@@ -399,7 +396,7 @@ class NoiseOperator:
 
 def eval_noise(model: ModelSpec, u) -> NoiseOperator:
     _check_dim(model, u)
-    return NoiseOperator(model.noise.diag_batch(_arr(u)[None])[0])
+    return NoiseOperator(model.noise.diag_batch(_coeffs(u)[None])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -27,17 +27,27 @@ from .dynamics import StepperConfig
 from .errors import ConfigError
 from .spectral import SpectralBasis, quadratic_basis
 
-_KNOWN_KEYS = {
-    "model": {"kind", "c1", "coupling_n", "gamma"},
-    "basis": {"m", "spectrum", "scale", "eigenvalues"},
-    "drift": {"kind", "rate", "shift", "scale"},
-    "bilinear": {"kind", "entries"},
-    "noise": {"kind", "s", "sigma0", "c_min", "g_base", "g_slope", "g_lo", "g_hi"},
-    "nse": {"kappa", "gamma", "sigma0", "forcing", "coupling_n"},
-    "stepper": {"dt", "scheme", "penalty_n", "t"},
-    "plan": {"n_paths", "t_grid", "base_seed", "x0", "y0"},
-    "distance": {"delta", "n_tilde"},
-    "output": {"directory", "formats"},
+# every known key of every section, with its default ("" for none)
+_KEYS = {
+    "model": {"kind": "generic", "c1": "0.5", "coupling_n": "4", "gamma": "0.0"},
+    "basis": {"m": "16", "spectrum": "quadratic", "scale": "1.0", "eigenvalues": ""},
+    "drift": {"kind": "linear_decay", "rate": "0.3", "shift": "", "scale": ""},
+    "bilinear": {"kind": "skew_shear", "entries": ""},
+    "noise": {
+        "kind": "diag_affine", "s": "", "sigma0": "0.05", "c_min": "",
+        "g_base": "1.0", "g_slope": "0.0", "g_lo": "1.0", "g_hi": "1.0",
+    },
+    "nse": {"kappa": "2", "gamma": "0.25", "sigma0": "0.05", "forcing": "", "coupling_n": "4"},
+    "stepper": {"dt": "1e-3", "scheme": "projected", "penalty_n": "1e4", "t": "1.0"},
+    "plan": {
+        "n_paths": "8",
+        "t_grid": "auto",  # snapped {T/4, T/2, T}
+        "base_seed": "12345",
+        "x0": "",
+        "y0": "",
+    },
+    "distance": {"delta": "auto", "n_tilde": "auto"},
+    "output": {"directory": "out", "formats": "csv"},
 }
 
 # keys that name a choice with one implemented value
@@ -46,40 +56,6 @@ _SINGLE_VALUED = (
     ("noise", "kind", "diag_affine"),
     ("output", "formats", "csv"),
 )
-
-_DEFAULTS = {
-    ("model", "kind"): "generic",
-    ("model", "c1"): "0.5",
-    ("model", "coupling_n"): "4",
-    ("model", "gamma"): "0.0",
-    ("basis", "m"): "16",
-    ("basis", "spectrum"): "quadratic",
-    ("basis", "scale"): "1.0",
-    ("drift", "kind"): "linear_decay",
-    ("drift", "rate"): "0.3",
-    ("bilinear", "kind"): "skew_shear",
-    ("noise", "kind"): "diag_affine",
-    ("noise", "sigma0"): "0.05",
-    ("noise", "g_base"): "1.0",
-    ("noise", "g_slope"): "0.0",
-    ("noise", "g_lo"): "1.0",
-    ("noise", "g_hi"): "1.0",
-    ("nse", "kappa"): "2",
-    ("nse", "gamma"): "0.25",
-    ("nse", "sigma0"): "0.05",
-    ("nse", "coupling_n"): "4",
-    ("stepper", "dt"): "1e-3",
-    ("stepper", "scheme"): "projected",
-    ("stepper", "penalty_n"): "1e4",
-    ("stepper", "t"): "1.0",
-    ("plan", "n_paths"): "8",
-    ("plan", "t_grid"): "auto",  # snapped {T/4, T/2, T}
-    ("plan", "base_seed"): "12345",
-    ("distance", "delta"): "auto",
-    ("distance", "n_tilde"): "auto",
-    ("output", "directory"): "out",
-    ("output", "formats"): "csv",
-}
 
 
 @dataclass
@@ -93,7 +69,7 @@ class ExperimentConfig:
     def get(self, section: str, key: str) -> str:
         if (section, key) in self.values:
             return self.values[(section, key)][0]
-        return _DEFAULTS.get((section, key), "")
+        return _KEYS.get(section, {}).get(key, "")
 
     def has(self, section: str, key: str) -> bool:
         return (section, key) in self.values
@@ -101,7 +77,7 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         effective = {
             (s, k): self.get(s, k)
-            for s, keys in _KNOWN_KEYS.items()
+            for s, keys in _KEYS.items()
             for k in keys
             if self.get(s, k) != ""
         }
@@ -119,7 +95,7 @@ def _parse_lines(text: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _KNOWN_KEYS:
+            if section not in _KEYS:
                 violations.append(f"line {lineno}: unknown section [{section}]")
                 section = None
             continue
@@ -130,7 +106,7 @@ def _parse_lines(text: str):
             violations.append(f"line {lineno}: key outside any known section")
             continue
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS[section]:
+        if key not in _KEYS[section]:
             violations.append(f"line {lineno}: unknown key {key!r} in [{section}]")
             continue
         if (section, key) in values:

@@ -28,7 +28,7 @@ from .dynamics import (
     run_paths,
 )
 from .errors import ValidationError
-from .spectral import StateVector, h_norm_arr, validate_h1
+from .spectral import _coeffs, h_norm_arr, validate_h1
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,7 @@ class DistanceParams:
 
 def d_distance(x, y, p: DistanceParams) -> float:
     """Ñ |x − y|_H^{2δ/(1+δ)} capped at 1; symmetric, zero iff x = y."""
-    cx = x.coeffs if isinstance(x, StateVector) else np.asarray(x, dtype=float)
-    cy = y.coeffs if isinstance(y, StateVector) else np.asarray(y, dtype=float)
-    return float(d_distance_arr(h_norm_arr(cx - cy), p))
+    return float(d_distance_arr(h_norm_arr(_coeffs(x) - _coeffs(y)), p))
 
 
 def d_distance_arr(gap_h: np.ndarray, p: DistanceParams) -> np.ndarray:
@@ -82,8 +80,7 @@ def girsanov_shift(model: ModelSpec, x_state, y_state) -> np.ndarray:
     positive diagonal floor on those modes.
     """
     _pinv_floor(model)
-    cx = x_state.coeffs if isinstance(x_state, StateVector) else np.asarray(x_state)
-    cy = y_state.coeffs if isinstance(y_state, StateVector) else np.asarray(y_state)
+    cx, cy = _coeffs(x_state), _coeffs(y_state)
     if cx.shape != (model.dim,) or cy.shape != (model.dim,):
         raise ValidationError("state length != model dim")
     beta = _shift_rows(model, cx[None, :], cy[None, :], model.noise.diag_batch(cy[None, :]))
@@ -180,7 +177,7 @@ def simulate_coupled_paths(
     path_indices = np.asarray(path_indices, dtype=np.int64)
     p = path_indices.size
     x0 = np.repeat(_as_batch_x0(model, x), p, axis=0)
-    y0 = np.repeat(_as_batch_x0(model, y), p, axis=0)
+    y0 = np.repeat(_as_batch_x0(model, y, "y0"), p, axis=0)
     if not validate_h1(model).passed:
         warnings.warn("spectral-gap condition fails; coupling may not contract")
     n_steps = n_steps_for(t_final, cfg.dt)

@@ -39,7 +39,7 @@ import numpy as np
 from .coefficients import ModelSpec
 from .errors import DivergedError, ValidationError
 from .rng import gaussian_block
-from .spectral import TOL_BALL, StateVector, h_norm_arr
+from .spectral import TOL_BALL, StateVector, _coeffs, h_norm_arr
 
 _NOISE_CHUNK_TARGET = 8_000_000  # floats per pregenerated noise chunk
 # glibc raises its mmap threshold to the size of each freed mmapped block of
@@ -452,12 +452,13 @@ class ObstacleRecorder:
 # single-path surface
 
 
-def _as_batch_x0(model, x0) -> np.ndarray:
-    c = x0.coeffs if isinstance(x0, StateVector) else np.asarray(x0, dtype=float)
+def _as_batch_x0(model, x0, name="x0") -> np.ndarray:
+    """The start x0 as a (1, M) row; `name` labels it in the errors."""
+    c = _coeffs(x0)
     if c.shape != (model.dim,):
-        raise ValidationError(f"x0 length {c.shape} != model dim {model.dim}")
+        raise ValidationError(f"{name} length {c.shape} != model dim {model.dim}")
     if float(h_norm_arr(c)) > 1.0 + TOL_BALL:
-        raise ValidationError("x0 lies outside the closed unit ball")
+        raise ValidationError(f"{name} lies outside the closed unit ball")
     return c[None, :].copy()
 
 

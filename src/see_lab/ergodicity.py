@@ -99,6 +99,27 @@ class Verdict:
     margin: float
     detail: str
 
+    @property
+    def line(self) -> str:
+        """`[PASS] name: detail` or `[FAIL] name: detail`."""
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
+
+
+def h1_verdict(model: ModelSpec, variant: str = "generic") -> Verdict:
+    """The spectral-gap hypothesis (H1) as a verdict: λ_{N+1} above the
+    variant's threshold, with σ invertible on the coupled modes.  The
+    generic variant is `h1_spectral_gap`, the NSE one `h1_nse_variant`."""
+    h1 = validate_h1(model, variant=variant)
+    return Verdict(
+        name="h1_spectral_gap" if variant == "generic" else f"h1_{variant}_variant",
+        passed=h1.passed and h1.pinv_ok,
+        margin=h1.lambda_next - h1.threshold,
+        detail=(
+            f"lambda_(N+1)={h1.lambda_next:g} > {variant} threshold {h1.threshold:g} "
+            f"and noise invertible on coupled modes: {h1.pinv_ok}"
+        ),
+    )
+
 
 def _series_from_values(t_grid, values) -> EstimateSeries:
     """values: (P, G) per-path samples -> mean/stderr series per grid time.
@@ -163,6 +184,15 @@ class ValueCapture:
         self.values[name][..., col] = val
 
 
+def _check_starts(model, xs, ys=()):
+    """Every row of the X starts xs and of each Y start array in ys has
+    length M and lies in the closed unit ball, as in simulate_path; a bad
+    row raises ValidationError naming it x0 or y0."""
+    for name, starts in [("x0", xs), *(("y0", y) for y in ys)]:
+        for row in np.atleast_2d(np.asarray(starts, dtype=float)):
+            _as_batch_x0(model, row, name)
+
+
 def _run_captured(
     model,
     plan: MonteCarloPlan,
@@ -170,7 +200,7 @@ def _run_captured(
     seed_tag: str,
     channels,
     sups=None,
-    y_starts=None,
+    y_starts=(),
     correction=True,
     integrals=(),
 ):
@@ -178,22 +208,22 @@ def _run_captured(
     which path i of start s is path s * n_paths + i, and capture channel
     values.
 
-    starts is (M,) or (S, M).  A coupled run adds J Y systems: y_starts is
-    (J, S, M), system j of start s begins at y_starts[j, s], and
-    `correction` flags the steered systems.  `integrals` are the recorders
-    the channels read; they run before the capture.  Every start row and
-    Y start row must have length M and lie in the closed unit ball, as in
-    simulate_path.  Returns dict name ->
+    starts is (M,) or (S, M).  A coupled run adds J Y systems: y_starts
+    holds J arrays, each (M,) or (S, M), system j of start s begins at row
+    s of y_starts[j], and `correction` flags the steered systems.
+    `integrals` are the recorders the channels read; they run before the
+    capture.  Every start row and Y start row must pass _check_starts; only
+    then do they broadcast against each other.  Returns dict name ->
     (..., S, n_paths, G), the leading axes those of the channel's value.
     """
     plan.check_model(model)
     grid_steps = plan.grid_steps
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    y_rows = () if y_starts is None else y_starts.reshape(-1, y_starts.shape[-1])
-    for row in (*starts, *y_rows):
-        _as_batch_x0(model, row)  # length M and inside the closed unit ball
+    _check_starts(model, starts, y_starts)
+    starts, *y_starts = np.broadcast_arrays(
+        *(np.atleast_2d(np.asarray(a, dtype=float)) for a in (starts, *y_starts))
+    )
     x0 = np.repeat(starts, plan.n_paths, axis=0)
-    y0 = None if y_starts is None else np.repeat(y_starts, plan.n_paths, axis=1)
+    y0 = np.repeat(np.stack(y_starts), plan.n_paths, axis=1) if y_starts else None
     cap = ValueCapture(grid_steps, channels, sups)
     run_paths(
         model, plan.cfg, x0, int(grid_steps.max()), derive_seed(plan.base_seed, seed_tag),
@@ -248,9 +278,6 @@ def _pair_values(
     A ShiftRecorder `shift` on Y system 0 rides along.  The estimators
     reduce these values.
     """
-    xs, *ys = np.broadcast_arrays(
-        *(np.atleast_2d(np.asarray(a, dtype=float)) for a in (xs, *ys))
-    )
     vsq = _SqNormIntegral(model.basis.eigenvalues)
 
     def g2(rt, systems=slice(None)):
@@ -264,9 +291,7 @@ def _pair_values(
     if sup is not None:
         sups = {"sup": lambda rt: np.exp(-4.0 * vsq.trapz) * g2(rt, sup)}
     integrals = ([vsq] if vint or sup is not None else []) + ([shift] if shift is not None else [])
-    return _run_captured(
-        model, plan, xs, seed_tag, channels, sups, np.stack(ys), correction, integrals
-    )
+    return _run_captured(model, plan, xs, seed_tag, channels, sups, ys, correction, integrals)
 
 
 def _weighted_gap(vals, coef: float, power: int):
@@ -283,8 +308,9 @@ def _distance(vals, p: DistanceParams):
 def _upper_slack(series: EstimateSeries, bound):
     """bound + 2se − mean at every grid time.  An estimate passes its upper
     bound where this is ≥ 0 (mean ≤ bound + 2se), and the least of it is
-    the margin, in the statistic's own units.  exp_integrability's verdict
-    and the pass column of every series CSV use this one rule."""
+    the margin, in the statistic's own units.  The weighted-contraction,
+    exp-integrability and Lyapunov verdicts and the pass column of every
+    series CSV use this one rule."""
     return np.asarray(bound) + 2.0 * series.stderr - series.mean
 
 
@@ -309,12 +335,11 @@ def _weighted_contraction(model, x, y, plan, vals):
         model.basis.eigenvalues[model.coupling_n]
     )
     bound = np.exp(expo * series.t) * gap0
-    ok = series.mean - 2.0 * series.stderr <= bound
-    margin = float(np.min(bound - (series.mean - 2.0 * series.stderr)))
+    slack = _upper_slack(series, bound)
     verdict = Verdict(
         name="weighted_contraction",
-        passed=bool(ok.all()),
-        margin=margin,
+        passed=bool(np.all(slack >= 0.0)),
+        margin=float(np.min(slack)),
         detail=(
             "E[exp(-4*int ||X||^2) |X-Y|^2] - 2se <= "
             f"exp(({expo:.6g})t)|x-y|^2 at all grid t"
@@ -407,12 +432,11 @@ def lyapunov_check(model: ModelSpec, x, plan: MonteCarloPlan):
     series = _series_from_values(plan.t_grid, vals["lhs"][0])
     x_sq = float((x * x).sum())
     rhs = x_sq + k_const * series.t
-    allowed = rhs * 1.05 + 2.0 * series.stderr
-    ok = series.mean <= allowed
+    slack = _upper_slack(series, rhs * 1.05)
     verdict = Verdict(
         name="lyapunov",
-        passed=bool(ok.all()),
-        margin=float(np.min(allowed - series.mean)),
+        passed=bool(np.all(slack >= 0.0)),
+        margin=float(np.min(slack)),
         detail=(
             f"E|X(t)|^2 + lambda_1*int E|X|^2 <= |x|^2 + K t (K={k_const:.6g}) "
             "with 5% slack + 2se"
@@ -438,6 +462,7 @@ def feller_modulus_estimate(
     must scale like |v−v'|² (ratio stable within factor 4 across two decades
     of |v−v'|).  X runs once from v, and the X' of every scale is an
     uncorrected Y system on X's noise: the scales share their random numbers."""
+    _check_starts(model, v, [v_prime])
     vals = _pair_values(
         model, plan, v, _feller_starts(v, v_prime, scales), "feller_modulus",
         sup=slice(None), correction=False,
@@ -895,25 +920,14 @@ def run_ergodicity_battery(
     if y is None:
         y = np.zeros(m)
         y[0] = -0.5
-    x, y = (_as_batch_x0(model, v)[0] for v in (x, y))
+    x, y = _as_batch_x0(model, x)[0], _as_batch_x0(model, y, "y0")[0]
     delta, expo = select_delta(model)
     if dist is None:
         dist = DistanceParams(n_tilde=1.0, delta=delta)
 
-    verdicts = []
+    verdicts = [h1_verdict(model)]
     series_out = {}
     h1 = validate_h1(model)
-    verdicts.append(
-        Verdict(
-            name="h1_spectral_gap",
-            passed=h1.passed and h1.pinv_ok,
-            margin=h1.lambda_next - h1.threshold,
-            detail=(
-                f"lambda_(N+1)={h1.lambda_next:g} > threshold={h1.threshold:g} "
-                f"and noise invertible on coupled modes: {h1.pinv_ok}"
-            ),
-        )
-    )
     if not h1.passed:
         warnings.warn("spectral-gap condition fails for this model")
 
@@ -1043,7 +1057,7 @@ def write_report_text(path, report: ErgodicityReport) -> None:
     lines.append(f"girsanov shift cost (mean int ||beta||^2 dt) = {report.shift_cost_mean!r}")
     lines.append("")
     for v in report.verdicts:
-        lines.append(f"[{'PASS' if v.passed else 'FAIL'}] {v.name}: {v.detail} (margin {v.margin:.6g})")
+        lines.append(f"{v.line} (margin {v.margin:.6g})")
     lines.append("")
     for n in report.notes:
         lines.append(n)

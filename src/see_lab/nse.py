@@ -33,13 +33,12 @@ from .coefficients import (
     ModelSpec,
     affine_drift,
     build_model,
-    check_form_bounds,
     diag_affine_noise,
     inverse_mode_amplitudes,
 )
-from .ergodicity import Verdict
+from .ergodicity import Verdict, h1_verdict
 from .errors import ValidationError
-from .spectral import SpectralBasis, validate_h1
+from .spectral import SpectralBasis
 
 _NORM = 1.0 / (math.sqrt(2.0) * math.pi)  # L² normalization on [0, 2π]²
 
@@ -281,13 +280,10 @@ def divergence_structure_ok(grid: FourierGrid) -> bool:
     return True
 
 
-def nse_verdicts(nse: NseModel, seed: int = 0) -> list:
-    """The instance's own checks: divergence-free structure, the form
-    bounds, and both spectral-gap variants."""
-    model = nse.spec
-    fb = check_form_bounds(model, samples=1000, seed=seed)
-    h1_nse = validate_h1(model, variant="nse")
-    h1_gen = validate_h1(model, variant="generic")
+def nse_verdicts(nse: NseModel) -> list:
+    """The instance's own checks: divergence-free structure and the NSE
+    variant of the spectral gap.  The generic checks come from
+    `see-lab verify-model`."""
     return [
         Verdict(
             "divergence_free_structure",
@@ -295,25 +291,5 @@ def nse_verdicts(nse: NseModel, seed: int = 0) -> list:
             0.0,
             "all basis fields satisfy k_perp . k = 0 exactly",
         ),
-        Verdict(
-            "form_bounds",
-            fb.passed,
-            1.0 + 1e-9 - max(fb.max_ratio_trilinear, fb.max_ratio_bmap),
-            f"trilinear ratio {fb.max_ratio_trilinear:.3g}, "
-            f"B(u,u) ratio {fb.max_ratio_bmap:.3g} <= 1+1e-9",
-        ),
-        Verdict(
-            "h1_nse_variant",
-            h1_nse.passed and h1_nse.pinv_ok,
-            h1_nse.lambda_next - h1_nse.threshold,
-            f"lambda_(N+1)={h1_nse.lambda_next:g} vs (32/3)|s0|^2+12C1+16g^2"
-            f"={h1_nse.threshold:g}",
-        ),
-        Verdict(
-            "h1_generic_variant",
-            h1_gen.passed and h1_gen.pinv_ok,
-            h1_gen.lambda_next - h1_gen.threshold,
-            f"lambda_(N+1)={h1_gen.lambda_next:g} vs generic threshold"
-            f"={h1_gen.threshold:g}",
-        ),
+        h1_verdict(nse.spec, variant="nse"),
     ]

@@ -295,8 +295,37 @@ def test_cli_nse_verify(tmp_path):
     cfg = _write(tmp_path, text)
     out = str(tmp_path / "nse")
     assert main(["nse", "--config", cfg, "--out", out]) == 0
-    txt = open(os.path.join(out, "nse_verify.txt")).read()
+    txt = open(os.path.join(out, "verify_model.txt")).read()
     assert "divergence_free_structure" in txt
+
+
+def test_cli_verify_model_nse_checks_once(tmp_path):
+    # the generic checks, then the instance's own; none of them twice
+    text = "[model]\nkind = nse\n[nse]\nkappa = 1\ngamma = 1.0\n"
+    cfg = _write(tmp_path, text)
+    out = str(tmp_path / "vm")
+    main(["verify-model", "--config", cfg, "--out", out])
+    lines = open(os.path.join(out, "verify_model.txt")).read().splitlines()
+    assert [ln.split("] ", 1)[1].split(":", 1)[0] for ln in lines] == [
+        "lipschitz_a1", "form_bounds_a2b", "antisymmetry_a2a", "h1_spectral_gap",
+        "divergence_free_structure", "h1_nse_variant",
+    ]
+
+
+def test_battery_and_verify_model_share_the_h1_verdict(tmp_path):
+    from argparse import Namespace
+
+    from see_lab.cli import cmd_verify_model
+    from see_lab.ergodicity import run_ergodicity_battery
+
+    cfg = parse_config_text(MINIMAL + "[stepper]\nt = 0.02\n")
+    model = build_model_from_config(cfg)
+    plan = plan_from_config(cfg, n_paths=2)
+    _, verdicts = cmd_verify_model(cfg, Namespace(seed=None), str(tmp_path))
+    report, _ = run_ergodicity_battery(model, plan, occupation=False)
+    by_name = {v.name: v for v in verdicts}
+    assert report.verdicts[0].name == "h1_spectral_gap"
+    assert report.verdicts[0] == by_name["h1_spectral_gap"]
 
 
 def test_cli_nse_ergodicity_reads_distance(tmp_path):
@@ -328,7 +357,7 @@ def _output_bytes(out):
     return files
 
 
-@pytest.mark.parametrize("experiment", ["simulate", "ergodicity"])
+@pytest.mark.parametrize("experiment", ["verify-model", "simulate", "ergodicity"])
 def test_cli_nse_experiment_is_the_generic_subcommand(tmp_path, experiment):
     text = (
         "[model]\nkind = nse\n[nse]\nkappa = 1\ngamma = 1.0\n[stepper]\nt = 0.02\n"

@@ -723,11 +723,28 @@ def test_plan_with_matching_model_id_runs():
 _BAD_START_CALLS = {
     "weighted_contraction_x": lambda m, p, ok, bad: weighted_contraction_estimate(m, bad, ok, p),
     "weighted_contraction_y": lambda m, p, ok, bad: weighted_contraction_estimate(m, ok, bad, p),
+    "fourth_moment_x": lambda m, p, ok, bad: fourth_moment_estimate(m, bad, ok, p),
+    "fourth_moment_y": lambda m, p, ok, bad: fourth_moment_estimate(m, ok, bad, p),
+    "feller_modulus_x": lambda m, p, ok, bad: feller_modulus_estimate(m, bad, ok, p),
+    "feller_modulus_y": lambda m, p, ok, bad: feller_modulus_estimate(m, ok, bad, p),
+    "coupled_distance_x": lambda m, p, ok, bad: coupled_distance_series(
+        m, bad, ok, p, DistanceParams(1.0, 0.5)),
+    "coupled_distance_y": lambda m, p, ok, bad: coupled_distance_series(
+        m, ok, bad, p, DistanceParams(1.0, 0.5)),
+    "wasserstein_upper_x": lambda m, p, ok, bad: wasserstein_upper(
+        m, bad, ok, 0.01, p, DistanceParams(1.0, 0.5)),
+    "wasserstein_upper_y": lambda m, p, ok, bad: wasserstein_upper(
+        m, ok, bad, 0.01, p, DistanceParams(1.0, 0.5)),
     "exp_integrability": lambda m, p, ok, bad: exp_integrability_estimate(m, bad, 0.01, p),
     "lyapunov": lambda m, p, ok, bad: lyapunov_check(m, bad, p),
     "battery_x": lambda m, p, ok, bad: run_ergodicity_battery(m, p, x=bad, occupation=False),
     "battery_y": lambda m, p, ok, bad: run_ergodicity_battery(m, p, y=bad, occupation=False),
 }
+
+
+def _start_label(name):
+    # the error names a Y start (and Feller's v', the start of a Y system) y0
+    return "y0" if name.endswith("_y") else "x0"
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_START_CALLS))
@@ -737,16 +754,19 @@ def test_estimators_reject_starts_outside_the_ball(name):
     # pass from 3e_1
     model = benchmark_model()
     plan = _plan(n_paths=4, grid=(0.01,))
-    with pytest.raises(ValidationError, match="outside the closed unit ball"):
+    with pytest.raises(ValidationError, match=f"{_start_label(name)} lies outside the closed unit ball"):
         _quiet(_BAD_START_CALLS[name], model, plan, _e(model.dim, 0, 0.5),
                _e(model.dim, 0, 3.0))
 
 
-@pytest.mark.parametrize("name", ["exp_integrability", "lyapunov", "battery_x", "battery_y"])
+@pytest.mark.parametrize("name", sorted(_BAD_START_CALLS))
 def test_estimators_reject_starts_of_the_wrong_length(name):
+    # every start row is checked before the pair estimators broadcast x
+    # against y, so a short start is a ValidationError, not numpy's
+    # shape-mismatch ValueError
     model = benchmark_model()
     plan = _plan(n_paths=4, grid=(0.01,))
-    with pytest.raises(ValidationError, match="model dim"):
+    with pytest.raises(ValidationError, match=f"{_start_label(name)} length .* model dim"):
         _quiet(_BAD_START_CALLS[name], model, plan, _e(model.dim, 0, 0.5),
                np.zeros(model.dim - 1))
 

@@ -259,14 +259,14 @@ def test_h1_nse_threshold_formula_exact():
 
 
 def test_nse_verdicts():
+    # the instance's own checks; the generic ones come from verify-model
     model = build_nse_model(kappa=2, gamma=1.0)
-    verdicts = nse_verdicts(model, seed=11)
-    assert [v.name for v in verdicts] == [
-        "divergence_free_structure", "form_bounds", "h1_nse_variant", "h1_generic_variant",
-    ]
-    by_name = {v.name: v for v in verdicts}
-    assert by_name["divergence_free_structure"].passed
-    assert by_name["form_bounds"].passed
+    verdicts = nse_verdicts(model)
+    assert [v.name for v in verdicts] == ["divergence_free_structure", "h1_nse_variant"]
+    assert verdicts[0].passed
+    h1 = validate_h1(model.spec, variant="nse")
+    assert verdicts[1].margin == h1.lambda_next - h1.threshold
+    assert "> nse threshold" in verdicts[1].detail
 
 
 def test_nse_ergodicity_contraction():
