@@ -7,12 +7,16 @@ Subcommands: simulate, couple, verify-model, ergodicity, nse, convergence.
 `nse` needs a `[model] kind = nse` config and runs the subcommand named by
 `--experiment` (verify-model, the default, simulate or ergodicity) on it;
 on such a config `verify-model` adds the instance's own checks.  All
-outputs land under --out together with a manifest.txt;
-the process exits 0 iff every verdict of the requested experiment passed.
+outputs land under --out together with a manifest.txt.
 Each experiment steps its paths as one batch, so --workers is accepted and
 has no effect.  Reruns with the same effective config produce byte-identical
 result files: path results depend only on (seed, path_index), and files are
 written in a fixed order.
+
+Exit codes: 0 when every verdict of the requested experiment passed; 1 when
+a verdict failed or the model builder or an experiment rejected a value
+(`error: ...`); 2 for a bad command line or config, with every config
+violation on its own `config error: line N: ...` line.
 """
 
 from __future__ import annotations
@@ -23,14 +27,13 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .config import (
     build_model_from_config,
     distance_from_config,
     parse_config,
     plan_from_config,
+    positive_int,
     start_vector,
     stepper_from_config,
 )
@@ -38,6 +41,7 @@ from .coefficients import check_antisymmetry, check_form_bounds, lipschitz_probe
 from .coupling import dump_coupled_csv, shift_bound_constant, simulate_coupled_paths
 from .dynamics import (
     BallRecorder,
+    _write_csv,
     dump_path_csv,
     penalization_convergence_study,
     simulate_paths,
@@ -90,15 +94,21 @@ def _model_and_spec(cfg):
     return None, built
 
 
+def _plan_value(cfg, override, key):
+    """A command-line override, or the config's [plan] value."""
+    return override if override is not None else cfg.value("plan", key)
+
+
 def cmd_simulate(cfg, args, out_dir):
     _, model = _model_and_spec(cfg)
     stepper = stepper_from_config(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("plan", "base_seed"))
-    n_paths = args.paths if args.paths is not None else int(cfg.get("plan", "n_paths"))
-    t_final = float(cfg.get("stepper", "t"))
+    seed = _plan_value(cfg, args.seed, "base_seed")
     x0 = start_vector(cfg, model, "x0")
     ball = BallRecorder()
-    paths = simulate_paths(model, x0, t_final, stepper, seed, range(n_paths), [ball])
+    paths = simulate_paths(
+        model, x0, cfg.value("stepper", "t"), stepper, seed,
+        range(_plan_value(cfg, args.paths, "n_paths")), [ball],
+    )
     files = [dump_path_csv(path, out_dir) for path in paths]
     max_h = float(ball.max_h.max(initial=0.0))
     if stepper.scheme == "projected":
@@ -115,19 +125,14 @@ def cmd_simulate(cfg, args, out_dir):
 
 def cmd_couple(cfg, args, out_dir):
     _, model = _model_and_spec(cfg)
-    stepper = stepper_from_config(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("plan", "base_seed"))
-    n_paths = args.paths if args.paths is not None else int(cfg.get("plan", "n_paths"))
-    t_final = float(cfg.get("stepper", "t"))
     dist = distance_from_config(cfg, model)
-    x0 = start_vector(cfg, model, "x0")
-    y0 = start_vector(cfg, model, "y0")
+    x0, y0 = start_vector(cfg, model, "x0"), start_vector(cfg, model, "y0")
     if not cfg.has("plan", "x0") and not cfg.has("plan", "y0"):
-        x0 = np.zeros(model.dim)
-        y0 = np.zeros(model.dim)
-        x0[0], y0[0] = 0.5, -0.5
-
-    coupled = simulate_coupled_paths(model, x0, y0, t_final, stepper, seed, range(n_paths))
+        x0[0], y0[0] = 0.5, -0.5  # both unset, so both zero
+    coupled = simulate_coupled_paths(
+        model, x0, y0, cfg.value("stepper", "t"), stepper_from_config(cfg),
+        _plan_value(cfg, args.seed, "base_seed"), range(_plan_value(cfg, args.paths, "n_paths")),
+    )
     files = [dump_coupled_csv(c, dist, out_dir) for c in coupled]
     c_bound = shift_bound_constant(model)
     worst = 0.0
@@ -149,7 +154,7 @@ def cmd_couple(cfg, args, out_dir):
 
 def cmd_verify_model(cfg, args, out_dir):
     nse_model, model = _model_and_spec(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("plan", "base_seed"))
+    seed = _plan_value(cfg, args.seed, "base_seed")
     lp = lipschitz_probe(model, pairs=1000, seed=seed)
     fb = check_form_bounds(model, samples=1000, seed=seed + 1)
     anti = check_antisymmetry(model, samples=1000, seed=seed + 2)
@@ -176,9 +181,7 @@ def cmd_verify_model(cfg, args, out_dir):
 
 def cmd_ergodicity(cfg, args, out_dir):
     _, model = _model_and_spec(cfg)
-    seed = args.seed if args.seed is not None else None
-    n_paths = args.paths if args.paths is not None else None
-    plan = plan_from_config(cfg, seed=seed, n_paths=n_paths)
+    plan = plan_from_config(cfg, seed=args.seed, n_paths=args.paths)
     dist = distance_from_config(cfg, model)
     h1 = validate_h1(model)
     if not h1.passed:
@@ -189,27 +192,22 @@ def cmd_ergodicity(cfg, args, out_dir):
 
 
 def cmd_nse(cfg, args, out_dir):
-    if cfg.get("model", "kind") != "nse":
+    if cfg.value("model", "kind") != "nse":
         raise ConfigError(["the nse subcommand needs [model] kind=nse"])
     return _COMMANDS[args.experiment](cfg, args, out_dir)
 
 
 def cmd_convergence(cfg, args, out_dir):
     _, model = _model_and_spec(cfg)
-    stepper = stepper_from_config(cfg)
-    seed = args.seed if args.seed is not None else int(cfg.get("plan", "base_seed"))
-    t_final = float(cfg.get("stepper", "t"))
     x0 = start_vector(cfg, model, "x0")
     if not cfg.has("plan", "x0"):
-        x0 = np.zeros(model.dim)
-        x0[0] = 0.9
+        x0[0] = 0.9  # unset, so zero
     n_list = [10.0, 100.0, 1000.0, 10000.0]
-    rows = penalization_convergence_study(model, x0, t_final, stepper.dt, n_list, seed)
-    path = os.path.join(out_dir, "penalization_convergence.csv")
-    with open(path, "w") as fh:
-        fh.write("n,sup_gap\n")
-        for n, gap in rows:
-            fh.write(f"{n!r},{gap!r}\n")
+    rows = penalization_convergence_study(
+        model, x0, cfg.value("stepper", "t"), cfg.value("stepper", "dt"), n_list,
+        _plan_value(cfg, args.seed, "base_seed"),
+    )
+    path = _write_csv(os.path.join(out_dir, "penalization_convergence.csv"), "n,sup_gap", rows)
     gaps = [g for _, g in rows]
     ok = all(gaps[i + 1] <= gaps[i] for i in range(len(gaps) - 1))
     verdicts = [
@@ -239,7 +237,7 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--paths", type=int, default=None)
+    parser.add_argument("--paths", type=positive_int, default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument(
         "--workers", type=int, default=1,
@@ -259,7 +257,7 @@ def main(argv=None) -> int:
             print(f"config error: {v}", file=sys.stderr)
         return 2
 
-    out_dir = args.out if args.out is not None else cfg.get("output", "directory")
+    out_dir = args.out if args.out is not None else cfg.value("output", "directory")
     os.makedirs(out_dir, exist_ok=True)
     started = time.monotonic()
     try:

@@ -1,7 +1,8 @@
 """Line-oriented experiment configuration: `[section]` headers, key=value
 pairs, `#` comments.  Parsing is strict: unknown sections or keys, duplicate
-keys, and type errors are all collected (with line numbers) into a single
-ConfigError rather than silently defaulted.
+keys, values that do not parse and values that do not fit together are all
+collected (with line numbers) into a single ConfigError rather than silently
+defaulted.  Each value is parsed once, by its key's parser in `_KEYS`.
 """
 
 from __future__ import annotations
@@ -27,62 +28,108 @@ from .dynamics import StepperConfig
 from .errors import ConfigError
 from .spectral import SpectralBasis, quadratic_basis
 
-# every known key of every section, with its default ("" for none)
-_KEYS = {
-    "model": {"kind": "generic", "c1": "0.5", "coupling_n": "4", "gamma": "0.0"},
-    "basis": {"m": "16", "spectrum": "quadratic", "scale": "1.0", "eigenvalues": ""},
-    "drift": {"kind": "linear_decay", "rate": "0.3", "shift": "", "scale": ""},
-    "bilinear": {"kind": "skew_shear", "entries": ""},
-    "noise": {
-        "kind": "diag_affine", "s": "", "sigma0": "0.05", "c_min": "",
-        "g_base": "1.0", "g_slope": "0.0", "g_lo": "1.0", "g_hi": "1.0",
-    },
-    "nse": {"kappa": "2", "gamma": "0.25", "sigma0": "0.05", "forcing": "", "coupling_n": "4"},
-    "stepper": {"dt": "1e-3", "scheme": "projected", "penalty_n": "1e4", "t": "1.0"},
-    "plan": {
-        "n_paths": "8",
-        "t_grid": "auto",  # snapped {T/4, T/2, T}
-        "base_seed": "12345",
-        "x0": "",
-        "y0": "",
-    },
-    "distance": {"delta": "auto", "n_tilde": "auto"},
-    "output": {"directory": "out", "formats": "csv"},
-}
 
-# keys that name a choice with one implemented value
-_SINGLE_VALUED = (
-    ("basis", "spectrum", "quadratic"),
-    ("noise", "kind", "diag_affine"),
-    ("output", "formats", "csv"),
+def _parser(what: str, convert):
+    """A key's parser: `convert(raw)`, or a ValueError naming what it expects."""
+
+    def parse(raw: str):
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ValueError(what) from None
+
+    return parse
+
+
+def _checked(convert, ok):
+    def check(raw: str):
+        value = convert(raw)
+        if not ok(value):
+            raise ValueError(raw)
+        return value
+
+    return check
+
+
+def positive_int(raw: str) -> int:
+    """An integer >= 1 (also the type of the `--paths` flag)."""
+    return _checked(int, lambda n: n >= 1)(raw)
+
+
+def _numbers(raw: str) -> np.ndarray:
+    return np.array([float(x) for x in raw.split(",") if x.strip() != ""])
+
+
+def _choice(*options: str):
+    return _parser(" or ".join(options), _checked(str, lambda v: v in options))
+
+
+def _or_auto(what: str, convert):
+    return _parser(f"{what} or auto", lambda raw: raw if raw == "auto" else convert(raw))
+
+
+_NUMBER = _parser("a number", float)
+_INTEGER = _parser("an integer", int)
+_NUMBERS = _parser("comma-separated numbers", _numbers)
+# one number, or one per mode when the value holds a comma
+_NUMBER_OR_LIST = _parser(
+    "a number or comma-separated numbers", lambda raw: _numbers(raw) if "," in raw else float(raw)
 )
+_TEXT = str  # the colon lists are parsed in _validate, against the dimension
+
+# every known key of every section: (default, parser); the default "" marks
+# an optional key, whose value is None while it is unset or empty
+_KEYS = {
+    "model": {"kind": ("generic", _choice("generic", "nse")), "c1": ("0.5", _NUMBER),
+              "coupling_n": ("4", _INTEGER), "gamma": ("0.0", _NUMBER)},
+    "basis": {"m": ("16", _INTEGER), "spectrum": ("quadratic", _choice("quadratic")),
+              "scale": ("1.0", _NUMBER), "eigenvalues": ("", _NUMBERS)},
+    "drift": {"kind": ("linear_decay", _choice("linear_decay", "affine")),
+              "rate": ("0.3", _NUMBER_OR_LIST), "shift": ("", _NUMBERS),
+              "scale": ("", _NUMBER_OR_LIST)},
+    "bilinear": {"kind": ("skew_shear", _choice("skew_shear", "zero")), "entries": ("", _TEXT)},
+    "noise": {"kind": ("diag_affine", _choice("diag_affine")), "s": ("", _NUMBERS),
+              "sigma0": ("0.05", _NUMBER), "c_min": ("", _NUMBER), "g_base": ("1.0", _NUMBER),
+              "g_slope": ("0.0", _NUMBER), "g_lo": ("1.0", _NUMBER), "g_hi": ("1.0", _NUMBER)},
+    "nse": {"kappa": ("2", _INTEGER), "gamma": ("0.25", _NUMBER), "sigma0": ("0.05", _NUMBER),
+            "forcing": ("", _TEXT), "coupling_n": ("4", _INTEGER)},
+    "stepper": {"dt": ("1e-3", _parser("a positive number", _checked(float, lambda v: v > 0))),
+                "scheme": ("projected", _choice("projected", "penalized")),
+                "penalty_n": ("1e4", _NUMBER), "t": ("1.0", _NUMBER)},
+    "plan": {"n_paths": ("8", _parser("a positive integer", positive_int)),
+             "t_grid": ("auto", _or_auto("comma-separated numbers", _numbers)),  # {T/4, T/2, T}
+             "base_seed": ("12345", _INTEGER), "x0": ("", _NUMBERS), "y0": ("", _NUMBERS)},
+    "distance": {"delta": ("auto", _or_auto("a number in (0, 1)",
+                                            _checked(float, lambda d: 0.0 < d < 1.0))),
+                 "n_tilde": ("auto", _or_auto("a number", float))},
+    "output": {"directory": ("out", _TEXT), "formats": ("csv", _choice("csv"))},
+}
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed and validated configuration; values are raw strings resolved
-    through the typed accessors below."""
+    """Parsed and validated configuration.  `get` returns a key's raw string
+    (its default when unset), `value` the value its parser made of it."""
 
-    values: dict = field(default_factory=dict)  # (section, key) -> (value, lineno)
-    source: str = ""
+    values: dict = field(default_factory=dict)  # (section, key) -> (raw, lineno)
+    parsed: dict = field(default_factory=dict)  # (section, key) -> value
 
     def get(self, section: str, key: str) -> str:
         if (section, key) in self.values:
             return self.values[(section, key)][0]
-        return _KEYS.get(section, {}).get(key, "")
+        return _KEYS[section][key][0]
+
+    def value(self, section: str, key: str):
+        return self.parsed[(section, key)]
 
     def has(self, section: str, key: str) -> bool:
         return (section, key) in self.values
 
     def config_hash(self) -> str:
-        effective = {
-            (s, k): self.get(s, k)
-            for s, keys in _KEYS.items()
-            for k in keys
-            if self.get(s, k) != ""
-        }
-        canon = repr(sorted(effective.items()))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        effective = sorted(
+            ((s, k), self.get(s, k)) for s, keys in _KEYS.items() for k in keys if self.get(s, k)
+        )
+        return hashlib.sha256(repr(effective).encode()).hexdigest()[:16]
 
 
 def _parse_lines(text: str):
@@ -120,36 +167,21 @@ def _parse_lines(text: str):
     return values, violations
 
 
-def _float(cfg, section, key, violations):
-    raw = cfg.get(section, key)
-    try:
-        return float(raw)
-    except ValueError:
-        line = cfg.values.get((section, key), ("", "?"))[1]
-        violations.append(f"line {line}: [{section}] {key} must be a number, got {raw!r}")
-        return 0.0
-
-
-def _int(cfg, section, key, violations):
-    raw = cfg.get(section, key)
-    try:
-        return int(raw)
-    except ValueError:
-        line = cfg.values.get((section, key), ("", "?"))[1]
-        violations.append(f"line {line}: [{section}] {key} must be an integer, got {raw!r}")
-        return 0
-
-
-def _float_list(cfg, section, key, violations):
-    raw = cfg.get(section, key)
-    if not raw:
-        return None
-    try:
-        return np.array([float(x) for x in raw.split(",") if x.strip() != ""])
-    except ValueError:
-        line = cfg.values.get((section, key), ("", "?"))[1]
-        violations.append(f"line {line}: [{section}] {key} must be comma-separated numbers")
-        return None
+def _parse_values(cfg: ExperimentConfig, violations: list):
+    """Every key's value through its parser, defaults included.  A value
+    that does not parse keeps its default's, so the later checks still run."""
+    for section, keys in _KEYS.items():
+        for key, (default, parse) in keys.items():
+            raw = cfg.get(section, key)
+            try:
+                value = parse(raw) if raw or default else None  # optional and unset
+            except ValueError as exc:
+                violations.append(
+                    f"line {_line(cfg, section, key)}: [{section}] {key} must be {exc}, "
+                    f"got {raw!r}"
+                )
+                value = parse(default) if default else None
+            cfg.parsed[(section, key)] = value
 
 
 def _colon_items(raw: str, n_idx: int, dim: int) -> list:
@@ -169,44 +201,46 @@ def _colon_items(raw: str, n_idx: int, dim: int) -> list:
     return out
 
 
-def _check_colon_items(cfg, section, key, n_idx, dim, violations) -> list:
-    """The parsed items of a colon list, or [] after adding a violation."""
-    raw = cfg.get(section, key)
-    if not raw:
+def _parse_colon_list(cfg, section, key, n_idx, dim, violations) -> list:
+    """Store the items of a colon list in place of its text; [] after a
+    violation."""
+    raw = cfg.value(section, key)
+    if raw is None:
         return []
     try:
-        return _colon_items(raw, n_idx, dim)
+        items = _colon_items(raw, n_idx, dim)
     except ValueError as exc:
         form = ":".join(["i"] * n_idx)
         violations.append(
-            f"line {cfg.values[(section, key)][1]}: [{section}] {key} items must be "
+            f"line {_line(cfg, section, key)}: [{section}] {key} items must be "
             f"{form}:c with each i in 1..{dim} and c a number, got {str(exc)!r}"
         )
-        return []
+        items = []
+    cfg.parsed[(section, key)] = items
+    return items
 
 
 def resolve_t_grid(cfg) -> np.ndarray:
     """The plan's time grid; `auto` snaps {T/4, T/2, T} onto the step grid."""
-    raw = cfg.get("plan", "t_grid")
-    dt = float(cfg.get("stepper", "dt"))
-    t_final = float(cfg.get("stepper", "t"))
-    if raw == "auto":
+    grid = cfg.value("plan", "t_grid")
+    if isinstance(grid, str):
+        dt, t_final = cfg.value("stepper", "dt"), cfg.value("stepper", "t")
         steps = sorted({max(1, round(t_final * f / dt)) for f in (0.25, 0.5, 1.0)})
         return np.array([s * dt for s in steps])
-    return np.array([float(x) for x in raw.split(",") if x.strip() != ""])
+    return grid
 
 
 def parse_config(path) -> ExperimentConfig:
     """Read and validate a config file; raises ConfigError listing every
     violation with its line number."""
     with open(path) as fh:
-        text = fh.read()
-    return parse_config_text(text, source=str(path))
+        return parse_config_text(fh.read())
 
 
-def parse_config_text(text: str, source: str = "<memory>") -> ExperimentConfig:
+def parse_config_text(text: str) -> ExperimentConfig:
     values, violations = _parse_lines(text)
-    cfg = ExperimentConfig(values=values, source=source)
+    cfg = ExperimentConfig(values=values)
+    _parse_values(cfg, violations)
     _validate(cfg, violations)
     if violations:
         raise ConfigError(violations)
@@ -214,66 +248,49 @@ def parse_config_text(text: str, source: str = "<memory>") -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig, violations: list):
-    kind = cfg.get("model", "kind")
-    if kind not in ("generic", "nse"):
-        violations.append(f"[model] kind must be generic or nse, got {kind!r}")
-    m = _int(cfg, "basis", "m", violations)
-    eig = _float_list(cfg, "basis", "eigenvalues", violations)
-    if eig is not None:
-        m = eig.size
-    n = _int(cfg, "model", "coupling_n", violations)
-    if kind == "generic" and not n < m:
-        violations.append("coupling_n must be < basis dim")
-    dt = _float(cfg, "stepper", "dt", violations)
-    t_final = _float(cfg, "stepper", "t", violations)
-    if dt <= 0.0:
-        violations.append("[stepper] dt must be positive")
-    if cfg.get("plan", "t_grid") != "auto":
-        grid = _float_list(cfg, "plan", "t_grid", violations)
-        if grid is not None and dt > 0.0:
-            if np.any(grid < 0.0) or np.any(grid > t_final + 1e-12):
-                violations.append("[plan] t_grid times must lie in [0, T]")
-            steps = np.round(grid / dt)
-            if np.any(np.abs(steps * dt - grid) > 1e-9):
-                violations.append("[plan] dt must divide every t_grid time within 1e-9")
-    if kind == "generic":
-        for i, j, k, _ in _check_colon_items(cfg, "bilinear", "entries", 3, m, violations):
+    """The checks that relate keys to each other or to the dimension."""
+    if cfg.value("model", "kind") == "generic":
+        eig = cfg.value("basis", "eigenvalues")
+        dim = eig.size if eig is not None else cfg.value("basis", "m")
+        n = cfg.value("model", "coupling_n")
+        if not n < dim:
+            violations.append("coupling_n must be < basis dim")
+        for i, j, k, _ in _parse_colon_list(cfg, "bilinear", "entries", 3, dim, violations):
             if j == k:
                 violations.append(
-                    f"line {cfg.values[('bilinear', 'entries')][1]}: [bilinear] entries "
+                    f"line {_line(cfg, 'bilinear', 'entries')}: [bilinear] entries "
                     f"item {i + 1}:{j + 1}:{k + 1} has j == k; the form is skew in (j, k)"
                 )
         for key in ("rate", "shift", "scale"):
-            vals = _float_list(cfg, "drift", key, violations)
-            if vals is not None and vals.size not in (1, m):
+            vals = cfg.value("drift", key)
+            if vals is not None and np.size(vals) not in (1, dim):
                 violations.append(
-                    f"line {cfg.values[('drift', key)][1]}: [drift] {key} needs 1 or "
-                    f"{m} numbers, got {vals.size}"
+                    f"line {_line(cfg, 'drift', key)}: [drift] {key} needs 1 or "
+                    f"{dim} numbers, got {np.size(vals)}"
                 )
-        _check_noise(cfg, m, n, violations)
-    elif kind == "nse":
+        _check_noise(cfg, dim, n, violations)
+    else:
         from .nse import build_fourier_grid
 
-        kappa = _int(cfg, "nse", "kappa", violations)
-        if kappa >= 1:
-            dim = build_fourier_grid(kappa).dim
-            _check_colon_items(cfg, "nse", "forcing", 1, dim, violations)
-    for section, key, only in _SINGLE_VALUED:
-        raw = cfg.get(section, key)
-        if raw != only:
-            line = cfg.values[(section, key)][1]
-            violations.append(f"line {line}: [{section}] {key} must be {only}, got {raw!r}")
-    scheme = cfg.get("stepper", "scheme")
-    if scheme not in ("projected", "penalized"):
-        violations.append(f"[stepper] scheme must be projected or penalized, got {scheme!r}")
-    delta = cfg.get("distance", "delta")
-    if delta != "auto":
-        try:
-            d = float(delta)
-            if not 0.0 < d < 1.0:
-                violations.append("[distance] delta must lie in (0,1) or be auto")
-        except ValueError:
-            violations.append(f"[distance] delta must be a number or auto, got {delta!r}")
+        dim = None  # kappa < 1 is build_nse_model's error
+        if cfg.value("nse", "kappa") >= 1:
+            dim = build_fourier_grid(cfg.value("nse", "kappa")).dim
+            _parse_colon_list(cfg, "nse", "forcing", 1, dim, violations)
+    for key in ("x0", "y0"):
+        start = cfg.value("plan", key)
+        if start is not None and dim is not None and start.size != dim:
+            violations.append(
+                f"line {_line(cfg, 'plan', key)}: [plan] {key} needs {dim} numbers, "
+                f"one per basis mode, got {start.size}"
+            )
+    grid = cfg.value("plan", "t_grid")
+    if not isinstance(grid, str):
+        dt, t_final = cfg.value("stepper", "dt"), cfg.value("stepper", "t")
+        if np.any(grid < 0.0) or np.any(grid > t_final + 1e-12):
+            violations.append("[plan] t_grid times must lie in [0, T]")
+        steps = np.round(grid / dt)
+        if np.any(np.abs(steps * dt - grid) > 1e-9):
+            violations.append("[plan] dt must divide every t_grid time within 1e-9")
 
 
 def _line(cfg, section, *keys) -> int:
@@ -283,17 +300,14 @@ def _line(cfg, section, *keys) -> int:
 
 def _check_noise(cfg, m, n, violations):
     """The [noise] values that diag_affine_noise and build_model reject."""
-    n_before = len(violations)
-    amps = _float_list(cfg, "noise", "s", violations)
-    sigma0 = _float(cfg, "noise", "sigma0", violations)
-    g_lo = _float(cfg, "noise", "g_lo", violations)
-    g_hi = _float(cfg, "noise", "g_hi", violations)
-    c_min = _float(cfg, "noise", "c_min", violations) if cfg.has("noise", "c_min") else 0.0
-    if len(violations) > n_before or m < 1:
-        return  # a value did not parse, or the basis is empty (coupling_n < m fails)
+    if m < 1:
+        return  # the basis is empty (coupling_n < m fails)
+    amps = cfg.value("noise", "s")
+    g_lo, g_hi = cfg.value("noise", "g_lo"), cfg.value("noise", "g_hi")
+    c_min = cfg.value("noise", "c_min") or 0.0
     amp_key = "s" if amps is not None else "sigma0"
     if amps is None:
-        amps = inverse_mode_amplitudes(m, sigma0)
+        amps = inverse_mode_amplitudes(m, cfg.value("noise", "sigma0"))
     elif amps.size != m:
         violations.append(
             f"line {_line(cfg, 'noise', 's')}: [noise] s needs {m} numbers, "
@@ -322,94 +336,75 @@ def _check_noise(cfg, m, n, violations):
 # builders from a validated config
 
 
-def build_basis_from_config(cfg: ExperimentConfig) -> SpectralBasis:
-    eig = _float_list(cfg, "basis", "eigenvalues", [])
-    if eig is not None:
-        return SpectralBasis(eig)
-    m = int(cfg.get("basis", "m"))
-    scale = float(cfg.get("basis", "scale"))
-    return quadratic_basis(m, scale)
-
-
 def build_model_from_config(cfg: ExperimentConfig):
     """ModelSpec for generic configs, (NseModel, ModelSpec) for nse kind."""
-    if cfg.get("model", "kind") == "nse":
+    value = cfg.value
+    if value("model", "kind") == "nse":
         from .nse import build_fourier_grid, build_nse_model
 
-        m_forcing = cfg.get("nse", "forcing")
-        forcing = None
-        kappa = int(cfg.get("nse", "kappa"))
-        n_cfg = int(cfg.get("nse", "coupling_n")) if cfg.has("nse", "coupling_n") else None
-        c1_cfg = float(cfg.get("model", "c1")) if cfg.has("model", "c1") else None
-        if m_forcing:
+        kappa, forcing = value("nse", "kappa"), None
+        if value("nse", "forcing"):
             forcing = np.zeros(build_fourier_grid(kappa).dim)
-            for idx, val in _colon_items(m_forcing, 1, forcing.size):
+            for idx, val in value("nse", "forcing"):
                 forcing[idx] = val
         nse = build_nse_model(
             kappa=kappa,
-            gamma=float(cfg.get("nse", "gamma")),
-            sigma0=float(cfg.get("nse", "sigma0")),
+            gamma=value("nse", "gamma"),
+            sigma0=value("nse", "sigma0"),
             forcing=forcing,
-            coupling_n=n_cfg,
-            lipschitz_c1=c1_cfg,
+            coupling_n=value("nse", "coupling_n") if cfg.has("nse", "coupling_n") else None,
+            lipschitz_c1=value("model", "c1") if cfg.has("model", "c1") else None,
         )
         return nse, nse.spec
 
-    basis = build_basis_from_config(cfg)
-    m = basis.dim
-    n = int(cfg.get("model", "coupling_n"))
-
-    drift_kind = cfg.get("drift", "kind")
-    if drift_kind == "linear_decay":
-        rate = _float_list(cfg, "drift", "rate", []) if "," in cfg.get("drift", "rate") else float(cfg.get("drift", "rate"))
-        drift = linear_decay_drift(rate)
-    elif drift_kind == "affine":
-        shift = _float_list(cfg, "drift", "shift", [])
-        shift = shift if shift is not None else np.zeros(m)
-        scale_raw = cfg.get("drift", "scale") or "0.0"
-        scale = np.array([float(x) for x in scale_raw.split(",")]) if "," in scale_raw else float(scale_raw)
-        drift = affine_drift(shift, scale)
+    eig = value("basis", "eigenvalues")
+    if eig is not None:
+        basis = SpectralBasis(eig)
     else:
-        raise ConfigError([f"[drift] kind {drift_kind!r} not buildable from config"])
+        basis = quadratic_basis(value("basis", "m"), value("basis", "scale"))
+    m, n = basis.dim, value("model", "coupling_n")
 
-    bl_kind = cfg.get("bilinear", "kind")
-    if bl_kind == "zero":
+    if value("drift", "kind") == "linear_decay":
+        drift = linear_decay_drift(value("drift", "rate"))
+    else:
+        shift, scale = value("drift", "shift"), value("drift", "scale")
+        drift = affine_drift(
+            shift if shift is not None else np.zeros(m), scale if scale is not None else 0.0
+        )
+
+    if value("bilinear", "kind") == "zero":
         bilinear = zero_form()
-    elif bl_kind == "skew_shear":
-        raw = cfg.get("bilinear", "entries")
-        entries = _colon_items(raw, 3, m) if raw else DEFAULT_SHEAR_ENTRIES
-        bilinear = skew_shear_form(entries, m)
     else:
-        raise ConfigError([f"[bilinear] kind {bl_kind!r} needs an nse model"])
+        entries = value("bilinear", "entries")
+        bilinear = skew_shear_form(entries if entries is not None else DEFAULT_SHEAR_ENTRIES, m)
 
-    s = _float_list(cfg, "noise", "s", [])
+    s, c_min = value("noise", "s"), value("noise", "c_min")
     if s is None:
-        s = inverse_mode_amplitudes(m, float(cfg.get("noise", "sigma0")))
-    c_min = float(cfg.get("noise", "c_min")) if cfg.has("noise", "c_min") else float(s[:n].min())
+        s = inverse_mode_amplitudes(m, value("noise", "sigma0"))
     noise = diag_affine_noise(
         s,
-        c_min=c_min,
-        g_base=float(cfg.get("noise", "g_base")),
-        g_slope=float(cfg.get("noise", "g_slope")),
-        g_lo=float(cfg.get("noise", "g_lo")),
-        g_hi=float(cfg.get("noise", "g_hi")),
+        c_min=c_min if c_min is not None else float(s[:n].min()),
+        g_base=value("noise", "g_base"),
+        g_slope=value("noise", "g_slope"),
+        g_lo=value("noise", "g_lo"),
+        g_hi=value("noise", "g_hi"),
     )
     return build_model(
         basis=basis,
         drift=drift,
         bilinear=bilinear,
         noise=noise,
-        lipschitz_c1=float(cfg.get("model", "c1")),
+        lipschitz_c1=value("model", "c1"),
         coupling_n=n,
-        damping_gamma=float(cfg.get("model", "gamma")),
+        damping_gamma=value("model", "gamma"),
     )
 
 
 def stepper_from_config(cfg: ExperimentConfig) -> StepperConfig:
     return StepperConfig(
-        dt=float(cfg.get("stepper", "dt")),
-        scheme=cfg.get("stepper", "scheme"),
-        penalty_n=float(cfg.get("stepper", "penalty_n")),
+        dt=cfg.value("stepper", "dt"),
+        scheme=cfg.value("stepper", "scheme"),
+        penalty_n=cfg.value("stepper", "penalty_n"),
     )
 
 
@@ -417,25 +412,23 @@ def plan_from_config(cfg: ExperimentConfig, seed=None, n_paths=None):
     from .ergodicity import MonteCarloPlan
 
     return MonteCarloPlan(
-        n_paths=n_paths if n_paths is not None else int(cfg.get("plan", "n_paths")),
+        n_paths=n_paths if n_paths is not None else cfg.value("plan", "n_paths"),
         t_grid=resolve_t_grid(cfg),
-        base_seed=seed if seed is not None else int(cfg.get("plan", "base_seed")),
+        base_seed=seed if seed is not None else cfg.value("plan", "base_seed"),
         cfg=stepper_from_config(cfg),
     )
 
 
 def distance_from_config(cfg: ExperimentConfig, model: ModelSpec) -> DistanceParams:
-    delta_raw = cfg.get("distance", "delta")
-    delta = select_delta(model)[0] if delta_raw == "auto" else float(delta_raw)
-    nt_raw = cfg.get("distance", "n_tilde")
-    n_tilde = 1.0 if nt_raw == "auto" else float(nt_raw)
-    return DistanceParams(n_tilde=n_tilde, delta=delta)
+    delta, n_tilde = cfg.value("distance", "delta"), cfg.value("distance", "n_tilde")
+    return DistanceParams(
+        n_tilde=1.0 if n_tilde == "auto" else n_tilde,
+        delta=select_delta(model)[0] if delta == "auto" else delta,
+    )
 
 
 def start_vector(cfg: ExperimentConfig, model: ModelSpec, key: str = "x0"):
-    vec = _float_list(cfg, "plan", key, [])
-    if vec is None:
-        return np.zeros(model.dim)
-    if vec.size != model.dim:
-        raise ConfigError([f"[plan] {key} needs {model.dim} coefficients"])
-    return vec
+    """The config's start `key` ([plan] x0 or y0), zero when unset; its
+    length is checked against the dimension at parse time."""
+    vec = cfg.value("plan", key)
+    return vec if vec is not None else np.zeros(model.dim)

@@ -24,6 +24,7 @@ from .dynamics import (
     StepperConfig,
     TrajectoryRecorder,
     _as_batch_x0,
+    _write_csv,
     n_steps_for,
     run_paths,
 )
@@ -217,16 +218,10 @@ def dump_coupled_csv(cp: CoupledPath, p: DistanceParams, directory) -> str:
     """Write `coupled_<seed>_<index>.csv` with header t,|x-y|_H,d_N,shift_cost_cum."""
     import os
 
-    times = cp.x_path.times
-    gap = h_norm_arr(cp.x_path.states - cp.y_path.states)
-    d_vals = d_distance_arr(gap, p)
-    cum = cp.shift_cost_cum
-    name = f"coupled_{cp.x_path.noise_seed}_{cp.x_path.path_index}.csv"
-    full = os.path.join(directory, name)
-    with open(full, "w") as fh:
-        fh.write("t,|x-y|_H,d_N,shift_cost_cum\n")
-        for k in range(times.size):
-            fh.write(
-                f"{times[k]!r},{float(gap[k])!r},{float(d_vals[k])!r},{float(cum[k])!r}\n"
-            )
-    return full
+    x = cp.x_path
+    gap = h_norm_arr(x.states - cp.y_path.states)
+    return _write_csv(
+        os.path.join(directory, f"coupled_{x.noise_seed}_{x.path_index}.csv"),
+        "t,|x-y|_H,d_N,shift_cost_cum",
+        np.column_stack([x.times, gap, d_distance_arr(gap, p), cp.shift_cost_cum]).tolist(),
+    )

@@ -606,6 +606,24 @@ def penalization_convergence_study(
     return rows
 
 
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    return repr(float(v))
+
+
+def _write_csv(path, header: str, rows) -> str:
+    """The one CSV writer: the header, then a line per row.  A cell is
+    repr(float(v)), empty for None and true/false for a bool.  Returns path."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join([repr(v) if type(v) is float else _cell(v) for v in row]) + "\n")
+    return path
+
+
 def dump_path_csv(path: PathSample, directory) -> str:
     """Write `path_<seed>_<index>.csv` with header t,mode_1,…,mode_M,dl_norm.
 
@@ -616,14 +634,8 @@ def dump_path_csv(path: PathSample, directory) -> str:
 
     m = path.states.shape[1]
     dl_norm = np.concatenate([[0.0], h_norm_arr(path.ledger.increments)])
-    name = f"path_{path.noise_seed}_{path.path_index}.csv"
-    full = os.path.join(directory, name)
     header = "t," + ",".join(f"mode_{i + 1}" for i in range(m)) + ",dl_norm"
-    with open(full, "w") as fh:
-        fh.write(header + "\n")
-        for k in range(path.states.shape[0]):
-            vals = [repr(float(path.times[k]))]
-            vals += [repr(float(c)) for c in path.states[k]]
-            vals.append(repr(float(dl_norm[k])))
-            fh.write(",".join(vals) + "\n")
-    return full
+    return _write_csv(
+        os.path.join(directory, f"path_{path.noise_seed}_{path.path_index}.csv"), header,
+        np.column_stack([path.times, path.states, dl_norm]).tolist(),
+    )

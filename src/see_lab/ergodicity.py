@@ -33,7 +33,8 @@ import numpy as np
 from .coefficients import ModelSpec
 from .coupling import DistanceParams, ShiftRecorder, d_distance_arr, select_delta
 from .dynamics import (
-    StepperConfig, _as_batch_x0, n_steps_for, run_paths, sample_ball, steps_for_times,
+    StepperConfig, _as_batch_x0, _write_csv, n_steps_for, run_paths, sample_ball,
+    steps_for_times,
 )
 from .errors import ValidationError
 from .rng import derive_seed
@@ -109,7 +110,11 @@ def h1_verdict(model: ModelSpec, variant: str = "generic") -> Verdict:
     """The spectral-gap hypothesis (H1) as a verdict: λ_{N+1} above the
     variant's threshold, with σ invertible on the coupled modes.  The
     generic variant is `h1_spectral_gap`, the NSE one `h1_nse_variant`."""
-    h1 = validate_h1(model, variant=variant)
+    return _h1_verdict(validate_h1(model, variant=variant))
+
+
+def _h1_verdict(h1) -> Verdict:
+    variant = h1.variant
     return Verdict(
         name="h1_spectral_gap" if variant == "generic" else f"h1_{variant}_variant",
         passed=h1.passed and h1.pinv_ok,
@@ -925,11 +930,9 @@ def run_ergodicity_battery(
     if dist is None:
         dist = DistanceParams(n_tilde=1.0, delta=delta)
 
-    verdicts = [h1_verdict(model)]
-    series_out = {}
     h1 = validate_h1(model)
-    if not h1.passed:
-        warnings.warn("spectral-gap condition fails for this model")
+    verdicts = [_h1_verdict(h1)]
+    series_out = {}
 
     # one run steps X from x with four Y systems on its noise: the steered y
     # (system 0) and Feller's synchronous scales.  It feeds the weighted
@@ -1035,16 +1038,10 @@ def run_ergodicity_battery(
 
 def write_series_csv(path, series: EstimateSeries, bound=None) -> None:
     """One CSV per estimator: t,mean,stderr,bound,pass."""
-    slack = None if bound is None else _upper_slack(series, bound)
-    with open(path, "w") as fh:
-        fh.write("t,mean,stderr,bound,pass\n")
-        for i in range(series.t.size):
-            b = "" if bound is None else repr(float(bound[i]))
-            ok = "" if bound is None else str(bool(slack[i] >= 0.0)).lower()
-            fh.write(
-                f"{series.t[i]!r},{float(series.mean[i])!r},"
-                f"{float(series.stderr[i])!r},{b},{ok}\n"
-            )
+    empty = [None] * series.t.size
+    bounds, passes = (empty, empty) if bound is None else (bound, _upper_slack(series, bound) >= 0.0)
+    _write_csv(path, "t,mean,stderr,bound,pass",
+               zip(series.t, series.mean, series.stderr, bounds, passes))
 
 
 def write_report_text(path, report: ErgodicityReport) -> None:

@@ -38,13 +38,13 @@ class SpectralBasis:
         bad = np.nonzero(lam <= 0.0)[0]
         if bad.size:
             raise ValidationError(
-                f"eigenvalue at index {bad[0]} is not positive: {lam[bad[0]]!r}"
+                f"eigenvalue at index {bad[0]} is not positive: {float(lam[bad[0]])!r}"
             )
         dec = np.nonzero(np.diff(lam) < 0.0)[0]
         if dec.size:
             i = int(dec[0]) + 1
             raise ValidationError(
-                f"eigenvalue at index {i} decreases: {lam[i]!r} < {lam[i - 1]!r}"
+                f"eigenvalue at index {i} decreases: {float(lam[i])!r} < {float(lam[i - 1])!r}"
             )
         lam = lam.copy()
         lam.flags.writeable = False

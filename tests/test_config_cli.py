@@ -128,7 +128,8 @@ def test_grid_must_lie_in_horizon():
 
 @pytest.mark.parametrize(
     "section,key,value",
-    [("basis", "spectrum", "flat"), ("noise", "kind", "custom"), ("output", "formats", "hdf5")],
+    [("basis", "spectrum", "flat"), ("noise", "kind", "custom"), ("output", "formats", "hdf5"),
+     ("drift", "kind", "foo"), ("bilinear", "kind", "nse_convective")],
 )
 def test_unimplemented_choice_rejected_with_line(section, key, value):
     text = f"[plan]\nn_paths = 4\n[{section}]\n{key} = {value}\n"
@@ -149,10 +150,13 @@ def test_unimplemented_choice_rejected_with_line(section, key, value):
         "[model]\ncoupling_n = 2\n[basis]\nm = 4\n[bilinear]\nkind = skew_shear\n"
         "entries = 1:2:2:0.1\n",
         "[model]\ncoupling_n = 2\n[basis]\nm = 4\n[noise]\ns = 0.1,0.1\n",
+        "[model]\ncoupling_n = 2\n[basis]\nm = 4\n[plan]\nx0 = 0.1,0,0\n",
+        "[model]\ncoupling_n = 2\n[basis]\nm = 4\n[plan]\ny0 = 0.1,0,0,0,0\n",
+        "[model]\nkind = nse\n[nse]\nkappa = 1\n[plan]\nx0 = 0.1,0,0\n",
     ],
     ids=["forcing_index_0", "forcing_index_9", "forcing_no_colon", "forcing_not_a_number",
          "entries_not_an_index", "drift_scale_length", "noise_s_not_a_number",
-         "entries_j_equals_k", "noise_s_length"],
+         "entries_j_equals_k", "noise_s_length", "x0_length", "y0_length", "nse_x0_length"],
 )
 def test_bad_list_value_is_config_error_with_line(tmp_path, capsys, text):
     # the list value sits on the last line of each config; values that parse
@@ -193,6 +197,39 @@ def test_noise_values_the_builder_accepts_still_build():
     )
     model = build_model_from_config(parse_config_text(text))
     assert model.noise.c_min == 0.05
+
+
+_NOT_A_NUMBER = [
+    ("plan", "base_seed"), ("plan", "n_paths"), ("distance", "n_tilde"), ("basis", "scale"),
+    ("noise", "g_base"), ("noise", "g_slope"), ("model", "c1"), ("model", "gamma"),
+    ("stepper", "penalty_n"), ("nse", "gamma"), ("nse", "sigma0"), ("nse", "coupling_n"),
+    ("plan", "x0"), ("plan", "y0"),
+]
+
+
+@pytest.mark.parametrize(
+    "section,key", _NOT_A_NUMBER, ids=[f"{s}_{k}" for s, k in _NOT_A_NUMBER]
+)
+def test_value_that_is_not_a_number_is_config_error_with_line(tmp_path, capsys, section, key):
+    # each value is parsed once, at parse time, so no command reaches it
+    kind = "nse" if section == "nse" else "generic"
+    value = "0.1,abc,0,0" if key in ("x0", "y0") else "abc"
+    text = f"[model]\nkind = {kind}\n[stepper]\nt = 0.02\n[{section}]\n{key} = {value}\n"
+    cfg = _write(tmp_path, text)
+    assert main(["couple", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: line 6: [{section}] {key} must be" in capsys.readouterr().err
+
+
+def test_run_without_paths_is_rejected(tmp_path, capsys):
+    cfg = _write(tmp_path, "[plan]\nn_paths = 0\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: line 2: [plan] n_paths must be a positive integer" in (
+        capsys.readouterr().err
+    )
+    cfg = _write(tmp_path, MINIMAL)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg, "--paths", "0", "--out", str(tmp_path / "p")])
+    assert exc.value.code == 2
 
 
 def test_violations_are_collected():
@@ -455,6 +492,39 @@ base_seed = 6
     captured = capsys.readouterr()
     assert "spectral-gap" in captured.err
     assert os.path.exists(os.path.join(out, "failures.json"))
+
+
+def test_every_csv_cell_is_a_number_empty_or_a_bool(tmp_path):
+    cfg = _write(tmp_path, "[stepper]\nt = 0.02\n[plan]\nn_paths = 2\n")
+    cells = 0
+    for sub in ("simulate", "couple", "ergodicity", "convergence"):
+        out = tmp_path / sub
+        main([sub, "--config", cfg, "--out", str(out)])
+        csvs = sorted(out.glob("*.csv"))
+        assert csvs, sub
+        for path in csvs:
+            for row in path.read_text().splitlines()[1:]:
+                for cell in row.split(","):
+                    if cell not in ("", "true", "false"):
+                        float(cell)  # raises on anything else, e.g. np.float64(0.02)
+                    cells += 1
+    assert cells > 0
+
+
+def test_battery_on_an_h1_failing_model_does_not_warn():
+    # the H1 failure is the h1_spectral_gap verdict, not also a UserWarning
+    import warnings
+
+    from see_lab.ergodicity import run_ergodicity_battery
+
+    cfg = parse_config_text(MINIMAL + "[model]\ncoupling_n = 1\n[stepper]\nt = 0.02\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report, _ = run_ergodicity_battery(
+            build_model_from_config(cfg), plan_from_config(cfg, n_paths=2), occupation=False
+        )
+    assert report.verdicts[0].name == "h1_spectral_gap" and not report.verdicts[0].passed
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
 
 
 def test_nse_forcing_config_round_trip(monkeypatch):
