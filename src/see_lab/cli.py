@@ -26,10 +26,12 @@ import json
 import os
 import sys
 import time
+import warnings
 
 from . import __version__
 from .config import (
     build_model_from_config,
+    check_battery_paths,
     distance_from_config,
     parse_config,
     plan_from_config,
@@ -123,16 +125,26 @@ def cmd_simulate(cfg, args, out_dir):
     return files, verdicts
 
 
+def _warn_if_h1_fails(model):
+    """The one stderr line for a model that fails the spectral-gap condition."""
+    if not validate_h1(model).passed:
+        print("warning: spectral-gap condition fails for this model", file=sys.stderr)
+
+
 def cmd_couple(cfg, args, out_dir):
     _, model = _model_and_spec(cfg)
     dist = distance_from_config(cfg, model)
     x0, y0 = start_vector(cfg, model, "x0"), start_vector(cfg, model, "y0")
     if not cfg.has("plan", "x0") and not cfg.has("plan", "y0"):
         x0[0], y0[0] = 0.5, -0.5  # both unset, so both zero
-    coupled = simulate_coupled_paths(
-        model, x0, y0, cfg.value("stepper", "t"), stepper_from_config(cfg),
-        _plan_value(cfg, args.seed, "base_seed"), range(_plan_value(cfg, args.paths, "n_paths")),
-    )
+    _warn_if_h1_fails(model)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "spectral-gap condition fails", UserWarning)
+        coupled = simulate_coupled_paths(
+            model, x0, y0, cfg.value("stepper", "t"), stepper_from_config(cfg),
+            _plan_value(cfg, args.seed, "base_seed"),
+            range(_plan_value(cfg, args.paths, "n_paths")),
+        )
     files = [dump_coupled_csv(c, dist, out_dir) for c in coupled]
     c_bound = shift_bound_constant(model)
     worst = 0.0
@@ -183,9 +195,7 @@ def cmd_ergodicity(cfg, args, out_dir):
     _, model = _model_and_spec(cfg)
     plan = plan_from_config(cfg, seed=args.seed, n_paths=args.paths)
     dist = distance_from_config(cfg, model)
-    h1 = validate_h1(model)
-    if not h1.passed:
-        print("warning: spectral-gap condition fails for this model", file=sys.stderr)
+    _warn_if_h1_fails(model)
     report, series = run_ergodicity_battery(model, plan, dist=dist)
     files = save_battery_outputs(out_dir, report, series)
     return files, report.verdicts
@@ -249,9 +259,14 @@ def main(argv=None) -> int:
         help="sub-experiment for the nse subcommand",
     )
     args = parser.parse_args(argv)
+    experiment = args.experiment if args.subcommand == "nse" else args.subcommand
+    if experiment == "ergodicity" and args.paths == 1:
+        parser.error("argument --paths: ergodicity needs at least 2 paths, got 1")
 
     try:
         cfg = parse_config(args.config)
+        if experiment == "ergodicity" and args.paths is None:
+            check_battery_paths(cfg)
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)

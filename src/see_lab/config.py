@@ -254,7 +254,8 @@ def _validate(cfg: ExperimentConfig, violations: list):
         dim = eig.size if eig is not None else cfg.value("basis", "m")
         n = cfg.value("model", "coupling_n")
         if not n < dim:
-            violations.append("coupling_n must be < basis dim")
+            line = max(_line(cfg, "model", "coupling_n"), _line(cfg, "basis", "m", "eigenvalues"))
+            violations.append(f"line {line}: coupling_n must be < basis dim")
         for i, j, k, _ in _parse_colon_list(cfg, "bilinear", "entries", 3, dim, violations):
             if j == k:
                 violations.append(
@@ -287,10 +288,12 @@ def _validate(cfg: ExperimentConfig, violations: list):
     if not isinstance(grid, str):
         dt, t_final = cfg.value("stepper", "dt"), cfg.value("stepper", "t")
         if np.any(grid < 0.0) or np.any(grid > t_final + 1e-12):
-            violations.append("[plan] t_grid times must lie in [0, T]")
+            line = max(_line(cfg, "plan", "t_grid"), _line(cfg, "stepper", "t"))
+            violations.append(f"line {line}: [plan] t_grid times must lie in [0, T]")
         steps = np.round(grid / dt)
         if np.any(np.abs(steps * dt - grid) > 1e-9):
-            violations.append("[plan] dt must divide every t_grid time within 1e-9")
+            line = max(_line(cfg, "plan", "t_grid"), _line(cfg, "stepper", "dt"))
+            violations.append(f"line {line}: [plan] dt must divide every t_grid time within 1e-9")
 
 
 def _line(cfg, section, *keys) -> int:
@@ -417,6 +420,15 @@ def plan_from_config(cfg: ExperimentConfig, seed=None, n_paths=None):
         base_seed=seed if seed is not None else cfg.value("plan", "base_seed"),
         cfg=stepper_from_config(cfg),
     )
+
+
+def check_battery_paths(cfg: ExperimentConfig):
+    """The ergodicity battery's standard errors need at least two paths per
+    start; [plan] n_paths = 1 is a config error there, with its line."""
+    n = cfg.value("plan", "n_paths")
+    if n < 2:
+        raise ConfigError([f"line {_line(cfg, 'plan', 'n_paths')}: [plan] n_paths must be "
+                           f"at least 2 for ergodicity, got {n}"])
 
 
 def distance_from_config(cfg: ExperimentConfig, model: ModelSpec) -> DistanceParams:

@@ -38,17 +38,13 @@ import numpy as np
 
 from .coefficients import ModelSpec
 from .errors import DivergedError, ValidationError
-from .rng import gaussian_block
+from .rng import gaussian_block, words_per_step
 from .spectral import TOL_BALL, StateVector, _coeffs, h_norm_arr
 
-_NOISE_CHUNK_TARGET = 8_000_000  # floats per pregenerated noise chunk
-# glibc raises its mmap threshold to the size of each freed mmapped block of
-# up to 32 MiB, and later blocks below that threshold stay resident on the
-# heap.  A chunk between 12.8 MB and 32 MiB (a short run, such as one grid
-# segment of contraction_check) is cut to 12.8 MB, so that it does not lift
-# the threshold above the 12.8 MB chunks of the battery's 100-path runs.
-_NOISE_CHUNK_SMALL = 1_600_000  # floats
-_MMAP_CEILING = 2**22  # floats in 32 MiB
+# Noise is drawn one chunk of steps at a time, every path in one call; the
+# chunk's word buffer holds at most this many floats (12.8 MB) unless a
+# single step of the batch needs more.
+_NOISE_CHUNK_TARGET = 1_600_000
 
 
 @dataclass(frozen=True)
@@ -305,17 +301,12 @@ def run_paths(
     for rec in recorders:
         rec.begin(rt)
 
-    chunk = max(1, min(n_steps, _NOISE_CHUNK_TARGET // max(p * m, 1)))
-    if _NOISE_CHUNK_SMALL < chunk * p * m <= _MMAP_CEILING:
-        chunk = max(1, _NOISE_CHUNK_SMALL // (p * m))
+    chunk = max(1, min(n_steps, _NOISE_CHUNK_TARGET // max(p * words_per_step(m), 1)))
 
     for k in range(n_steps):
         if k % chunk == 0:
             noise = dw = None  # release the previous chunk before filling the next
-            rows = min(chunk, n_steps - k)
-            noise = np.empty((p, rows, m))
-            for row, pi in enumerate(path_indices):
-                gaussian_block(seed, int(pi), step0 + k, rows, m, dt, out=noise[row])
+            noise = gaussian_block(seed, path_indices, step0 + k, min(chunk, n_steps - k), m, dt)
         dw = noise[:, k % chunk, :]
 
         s, tilde, rho, r, hnorm = step(s, diag, dw)

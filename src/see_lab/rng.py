@@ -8,9 +8,13 @@ applied to the raw 64-bit words, which keeps the per-step counter footprint
 fixed (ziggurat-style rejection would not).
 
 The stream is counter-addressed, so no generator carries state from one
-read to the next: each thread keeps one Philox generator and moves it to
-(key, counter) for every path's read, which is the generator a fresh
-`Philox(key=seed, counter=block)` would be, without building one.
+read to the next.  One call fills a whole noise chunk, every path of a
+batch: each thread keeps one Philox generator and one state dict, sets the
+key once per call and, for each path, moves only the counter before that
+path's read, which gives the generator a fresh `Philox(key=seed,
+counter=block)` would be, without building one.  The words land in one
+buffer, which is then turned into normals in place, in passes of about
+2^16 words that stay in cache.
 
 Counter layout (units of 4-word Philox blocks):
 
@@ -27,16 +31,23 @@ import math
 import threading
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 _PATH_SHIFT = 96
 _MASK64 = (1 << 64) - 1
+_PASS_WORDS = 1 << 16  # words turned into normals per pass (512 KiB)
 _local = threading.local()
 
 
 def _stride_blocks(k: int) -> int:
     return (k + 3) // 4
+
+
+def words_per_step(k: int) -> int:
+    """Keystream words read per step of k draws: the size, in floats, of a
+    step's share of gaussian_block's buffer."""
+    return 4 * _stride_blocks(k)
 
 
 def _words(value: int, n: int, name: str) -> list[int]:
@@ -46,22 +57,21 @@ def _words(value: int, n: int, name: str) -> list[int]:
     return [(value >> (64 * i)) & _MASK64 for i in range(n)]
 
 
-def _raw_words(seed: int, block_start: int, n_words: int) -> np.ndarray:
-    """n_words of the keystream of key=seed from counter block_start, read by
-    this thread's generator after it is moved there."""
-    bg = getattr(_local, "philox", None)
-    if bg is None:
-        bg = _local.philox = Philox(0)
-    bg.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _words(block_start, 4, "counter"),
-                  "key": _words(seed, 2, "key")},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,  # empty buffer: the next read starts a new block
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return bg.random_raw(n_words)
+def _generator():
+    """This thread's Generator on its own Philox, and the state dict that
+    repositions that Philox; built once per thread and reused."""
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = Generator(Philox(0))
+        _local.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # empty buffer: the next read starts a new block
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    return gen, _local.state
 
 
 def gaussian_increments(
@@ -76,27 +86,51 @@ def gaussian_increments(
 
 
 def gaussian_block(
-    seed: int, path_index: int, step0: int, n_steps: int, k: int, dt: float,
+    seed: int, path_index, step0: int, n_steps: int, k: int, dt: float,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(n_steps, k) array whose row j is the k draws of step step0 + j.
+    """Row j holds the k draws of step step0 + j of a path.
 
-    Single keystream read; used by the batch engine to amortize generator
-    setup across a chunk of steps.  With `out`, an (n_steps, k) float array,
-    the draws are written there and `out` is returned.
+    path_index: an int, giving an (n_steps, k) array, or a 1-D array of P
+    path indices, giving (P, n_steps, k) whose entry i is the block of path
+    path_index[i], bit for bit.  With `out`, an array of that shape, the
+    draws are written there and `out` is returned.
     """
+    indices = np.ravel(path_index).tolist()
+    shape = (n_steps, k) if np.ndim(path_index) == 0 else (len(indices), n_steps, k)
     if n_steps <= 0 or k <= 0:
-        return np.zeros((max(n_steps, 0), max(k, 0))) if out is None else out
-    stride = _stride_blocks(k)
-    block = (int(path_index) << _PATH_SHIFT) + int(step0) * stride
-    raw = _raw_words(int(seed), block, 4 * stride * n_steps)
-    # top 53 bits -> uniform in (0,1), open at both ends, in place
-    raw >>= np.uint64(11)
-    u = np.multiply(raw, 2.0**-53, out=raw.view(np.float64))
-    u += 2.0**-54
-    z = ndtri(u.reshape(n_steps, 4 * stride)[:, :k], out=out)
-    z *= math.sqrt(dt)
-    return z
+        return np.zeros([max(n, 0) for n in shape]) if out is None else out
+    width = words_per_step(k)
+    base = int(step0) * _stride_blocks(k)
+    gen, state = _generator()
+    bg = gen.bit_generator
+    state["state"]["key"] = _words(int(seed), 2, "key")
+    counter = state["state"]["counter"]
+    # one buffer for the chunk: the generator's `random` writes each word w
+    # as (w >> 11) * 2**-53, the top 53 bits as a uniform in [0, 1)
+    buf = np.empty((len(indices), n_steps * width))
+    for row, pi in enumerate(indices):
+        counter[:] = _words((pi << _PATH_SHIFT) + base, 4, "counter")
+        bg.state = state
+        gen.random(out=buf[row])
+    # the normals are packed k to a step over the words, width >= k to a
+    # step, so no pass overwrites words that a later pass reads (ndtri
+    # buffers the overlap inside a pass)
+    words = buf.reshape(-1, width)
+    z = buf.reshape(-1)[:words.shape[0] * k].reshape(-1, k)
+    rows_per_pass = max(1, _PASS_WORDS // width)
+    sd = math.sqrt(dt)
+    for a in range(0, words.shape[0], rows_per_pass):
+        u = words[a:a + rows_per_pass]
+        u += 2.0**-54  # open at both ends: (0, 1)
+        zz = z[a:a + rows_per_pass]
+        ndtri(u[:, :k], out=zz)
+        zz *= sd
+    z = z.reshape(shape)
+    if out is None:
+        return z
+    out[...] = z
+    return out
 
 
 def derive_seed(base_seed: int, tag: str) -> int:

@@ -52,8 +52,8 @@ def test_run_paths_steps_binds_call():
 
 def test_noise_layer_is_traced_per_path_and_chunk(monkeypatch):
     # the tracer splits out the noise layer by rebinding dynamics' own name
-    # for gaussian_block; run_paths must look it up there, once per path
-    # per noise chunk
+    # for gaussian_block; run_paths must look it up there, once per noise
+    # chunk for all paths
     import see_lab.cli  # noqa: F401  (the tracer wraps every see_lab module)
     import see_lab.rng
     from see_lab.coefficients import benchmark_model
@@ -70,6 +70,7 @@ def test_noise_layer_is_traced_per_path_and_chunk(monkeypatch):
     finally:
         tracer.uninstall()
     noise = [s for s in tracer.spans if s[1] == "rng.gaussian_block"]
-    assert len(noise) == p * 3  # chunks of 4, 4 and 2 steps
-    assert sum(s[5]["rows"] for s in noise) == p * n_steps
+    assert len(noise) == 3  # chunks of 4, 4 and 2 steps
+    assert [s[5]["rows"] for s in noise] == [4, 4, 2]
+    assert sum(s[5]["rows"] for s in noise) == n_steps
     assert see_lab.dynamics.gaussian_block is see_lab.rng.gaussian_block

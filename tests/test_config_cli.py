@@ -126,6 +126,22 @@ def test_grid_must_lie_in_horizon():
         parse_config_text(bad)
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("[basis]\nm = 4\n[model]\ncoupling_n = 4\n", 4, "coupling_n must be < basis dim"),
+    ("[model]\ncoupling_n = 2\n[basis]\neigenvalues = 1,4\n", 4,
+     "coupling_n must be < basis dim"),
+    ("[plan]\nt_grid = 0.25,1.0\n[stepper]\nt = 0.5\n", 4, "t_grid times must lie in"),
+    ("[stepper]\ndt = 1e-3\n[plan]\nt_grid = 0.33333333333\n", 4, "dt must divide"),
+    ("[plan]\nt_grid = 0.5\n[stepper]\ndt = 0.3\nt = 1.0\n", 4, "dt must divide"),
+], ids=["coupling_n-m", "coupling_n-eigenvalues", "t_grid-t", "t_grid-dt", "dt-t_grid"])
+def test_cross_key_violation_names_its_line(text, line, message):
+    # the line is the last one among the keys the check relates
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    (violation,) = err.value.violations
+    assert violation.startswith(f"line {line}: ") and message in violation
+
+
 @pytest.mark.parametrize(
     "section,key,value",
     [("basis", "spectrum", "flat"), ("noise", "kind", "custom"), ("output", "formats", "hdf5"),
@@ -509,6 +525,39 @@ def test_every_csv_cell_is_a_number_empty_or_a_bool(tmp_path):
                         float(cell)  # raises on anything else, e.g. np.float64(0.02)
                     cells += 1
     assert cells > 0
+
+
+def test_ergodicity_needs_two_paths(tmp_path, capsys):
+    # n_paths = 1 is a config error with its line, --paths 1 a command-line
+    # error naming --paths; simulate and couple still run one path
+    one = _write(tmp_path, "[stepper]\nt = 0.01\n[plan]\nn_paths = 1\n")
+    assert main(["ergodicity", "--config", one, "--out", str(tmp_path / "e")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: line 4: [plan] n_paths must be at least 2 for ergodicity, got 1\n")
+    cfg = _write(tmp_path, "[stepper]\nt = 0.01\n", "two.cfg")
+    with pytest.raises(SystemExit) as exc:
+        main(["ergodicity", "--config", cfg, "--paths", "1", "--out", str(tmp_path / "p")])
+    assert exc.value.code == 2
+    assert "argument --paths: ergodicity needs at least 2 paths" in capsys.readouterr().err
+    for sub in ("simulate", "couple"):
+        assert main([sub, "--config", one, "--out", str(tmp_path / sub)]) == 0
+        assert main([sub, "--config", cfg, "--paths", "1",
+                     "--out", str(tmp_path / f"{sub}1")]) == 0
+
+
+def test_couple_on_an_h1_failing_model_prints_one_warning_line(tmp_path):
+    # the ergodicity subcommand's one `warning:` line, not a raw UserWarning
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cfg = _write(tmp_path, "[model]\ncoupling_n = 1\n[stepper]\nt = 0.02\n[plan]\nn_paths = 2\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "see_lab", "couple", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "warning: spectral-gap condition fails for this model\n"
 
 
 def test_battery_on_an_h1_failing_model_does_not_warn():

@@ -89,12 +89,46 @@ def test_block_equals_fresh_generator(k):
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 16, 48])
+def test_index_array_equals_stacked_scalar_calls(k):
+    # one call for P paths gives each path's block bit for bit, also when
+    # the chunk spans more than one conversion pass
+    from see_lab.rng import _PASS_WORDS, words_per_step
+
+    idx = np.array([0, 3, 2**40])
+    long_run = _PASS_WORDS // (len(idx) * words_per_step(k)) + 2
+    for seed in (0, 2**128 - 1):
+        for step0 in STEP0S:
+            for n_steps in (9, long_run):
+                got = gaussian_block(seed, idx, step0, n_steps, k, DT)
+                assert got.shape == (len(idx), n_steps, k)
+                ref = np.stack([gaussian_block(seed, int(pi), step0, n_steps, k, DT)
+                                for pi in idx])
+                assert got.tobytes() == ref.tobytes(), (seed, step0, n_steps)
+                fresh = _fresh_block(seed, int(idx[-1]), step0, n_steps, k, DT)
+                assert got[-1].tobytes() == fresh.tobytes(), (seed, step0, n_steps)
+            out = np.full((len(idx), 9, k), np.nan)
+            assert gaussian_block(seed, idx, step0, 9, k, DT, out=out) is out
+            assert out.tobytes() == gaussian_block(seed, idx, step0, 9, k, DT).tobytes()
+
+
+def test_bad_key_counter_or_path_index_is_rejected():
+    with pytest.raises(ValueError, match="key must be positive"):
+        gaussian_block(2**128, np.array([0, 1]), 0, 2, 4, DT)
+    with pytest.raises(ValueError, match="counter must be positive"):
+        gaussian_block(1, np.array([0, -1]), 0, 2, 4, DT)
+    with pytest.raises(ValueError, match="counter must be positive"):
+        gaussian_block(1, 2**160, 0, 2, 4, DT)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 16, 48])
 def test_run_chunks_equal_fresh_generator(monkeypatch, k):
-    # run_paths fills each noise chunk path by path through gaussian_block;
-    # with chunks of 3 steps, an 8-step run has chunk boundaries after steps
-    # 3 and 6, and the pieces joined equal one fresh read of the whole run
+    # run_paths fills each noise chunk, every path at once, with one
+    # gaussian_block call; with chunks of 3 steps, an 8-step run has chunk
+    # boundaries after steps 3 and 6, and each path's pieces joined equal
+    # one fresh read of the whole run
     from see_lab import dynamics
     from see_lab.coefficients import build_model, diag_affine_noise, linear_decay_drift, zero_form
+    from see_lab.rng import words_per_step
     from see_lab.spectral import quadratic_basis
 
     model = build_model(
@@ -106,24 +140,58 @@ def test_run_chunks_equal_fresh_generator(monkeypatch, k):
         coupling_n=0,
     )
     paths = [0, 5, 2**40]
-    filled = {pi: [] for pi in paths}
+    calls = []
 
     def capture(seed, path_index, step0, *args, **kwargs):
         z = gaussian_block(seed, path_index, step0, *args, **kwargs)
-        filled[path_index].append((step0, z.copy()))
+        calls.append((step0, list(path_index), z.copy()))
         return z
 
     monkeypatch.setattr(dynamics, "gaussian_block", capture)
-    monkeypatch.setattr(dynamics, "_NOISE_CHUNK_TARGET", 3 * len(paths) * k)
+    monkeypatch.setattr(dynamics, "_NOISE_CHUNK_TARGET", 3 * len(paths) * words_per_step(k))
     for step0 in STEP0S:
-        for pieces in filled.values():
-            pieces.clear()
+        calls.clear()
         dynamics.run_paths(model, dynamics.StepperConfig(dt=DT), np.zeros((3, k)), 8, 11,
                            paths, step0=step0)
-        for pi, pieces in filled.items():
-            assert [s for s, _ in pieces] == [step0, step0 + 3, step0 + 6]
-            joined = np.concatenate([z for _, z in pieces])
+        assert [s for s, _, _ in calls] == [step0, step0 + 3, step0 + 6]
+        assert all(idx == paths for _, idx, _ in calls)
+        for row, pi in enumerate(paths):
+            joined = np.concatenate([z[row] for _, _, z in calls])
             assert joined.tobytes() == _fresh_block(11, pi, step0, 8, k, DT).tobytes()
+
+
+def test_run_paths_noise_chunk_stays_under_target(monkeypatch):
+    # every buffer behind a noise chunk, the keystream words included, fits
+    # in _NOISE_CHUNK_TARGET floats, and that is at most 12.8 MB; M = 5
+    # reads 8 words per step, so sizing chunks by M alone would overshoot
+    from see_lab import dynamics
+    from see_lab.coefficients import benchmark_model, build_model, diag_affine_noise
+    from see_lab.coefficients import linear_decay_drift, zero_form
+    from see_lab.spectral import quadratic_basis
+
+    cap = 8 * dynamics._NOISE_CHUNK_TARGET
+    assert cap <= 12.8e6
+    five = build_model(basis=quadratic_basis(5), drift=linear_decay_drift(1.0),
+                       bilinear=zero_form(), noise=diag_affine_noise(np.full(5, 0.1), c_min=0.0),
+                       lipschitz_c1=1.0, coupling_n=0)
+    sizes = []
+
+    def capture(*args, **kwargs):
+        z = gaussian_block(*args, **kwargs)
+        owner = z
+        while owner.base is not None:
+            owner = owner.base
+        sizes.append(owner.nbytes)
+        return z
+
+    monkeypatch.setattr(dynamics, "gaussian_block", capture)
+    p = 100
+    for model, n_steps in ((benchmark_model(), 1200), (five, 2100)):
+        sizes.clear()
+        dynamics.run_paths(model, dynamics.StepperConfig(dt=DT),
+                           np.zeros((p, model.dim)), n_steps, 3, np.arange(p))
+        assert len(sizes) == 2
+        assert max(sizes) <= cap, (model.dim, sizes)
 
 
 def test_threads_read_the_same_blocks():
