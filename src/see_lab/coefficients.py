@@ -132,7 +132,7 @@ class BilinearForm:
         if self.kind == "zero":
             return np.zeros_like(u)
         if self.kind == "skew_shear":
-            out = np.zeros_like(u)
+            out = np.zeros(u.shape)
             for i, j, k, c in self.entries:
                 uv = c * u[:, i]
                 out[:, k] += uv * v[:, j]
@@ -145,13 +145,24 @@ class BilinearForm:
         raise ValidationError(f"unknown bilinear kind {self.kind!r}")
 
 
+# _pair_contract takes at most this many rows at a time, so that its
+# (n_pairs, rows) products stay in cache
+_PAIR_BLOCK = 64
+
+
 def _pair_contract(pairs, u, v) -> np.ndarray:
-    """(P, M) rows of C (u_a ⊙ v_b) for the pair list (a, b, C)."""
+    """(P, M) rows of C (u_a ⊙ v_b) for the pair list (a, b, C), in blocks of
+    at most _PAIR_BLOCK rows.  Each row sums its CSR terms in stored order,
+    so the block size does not change a bit of the result."""
     a, b, mat = pairs
-    ut = np.ascontiguousarray(u.T)
-    q = ut[a]  # (n_pairs, P)
-    q *= ut[b] if v is u else np.ascontiguousarray(v.T)[b]
-    return np.ascontiguousarray((mat @ q).T)
+    out = np.empty((u.shape[0], mat.shape[0]))
+    for lo in range(0, u.shape[0], _PAIR_BLOCK):
+        rows = slice(lo, lo + _PAIR_BLOCK)
+        ut = np.ascontiguousarray(u[rows].T)
+        q = ut[a]  # (n_pairs, rows)
+        q *= ut[b] if v is u else np.ascontiguousarray(v[rows].T)[b]
+        out[rows] = (mat @ q).T
+    return out
 
 
 def zero_form() -> BilinearForm:
@@ -217,6 +228,14 @@ class NoiseMap:
         if self.kind == "custom":
             return np.asarray(self.diag_fn(u), dtype=float)
         raise ValidationError(f"unknown noise kind {self.kind!r}")
+
+    def constant_diag(self) -> np.ndarray | None:
+        """The diagonal σ when it does not depend on the state, else None:
+        s·g(0) when g is constant (g_slope = 0 or g_lo = g_hi), bit for bit
+        each row of diag_batch; None for the custom hook."""
+        if self.kind == "diag_affine" and (self.g_slope == 0.0 or self.g_lo == self.g_hi):
+            return self.s * self.g(0.0)
+        return None
 
     def hs_norm_batch(self, u: np.ndarray) -> np.ndarray:
         d = self.diag_batch(u)

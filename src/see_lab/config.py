@@ -69,7 +69,11 @@ def _or_auto(what: str, convert):
 
 
 _NUMBER = _parser("a number", float)
+_NONNEGATIVE = _parser("a nonnegative number", _checked(float, lambda v: v >= 0.0))
+_POSITIVE = _parser("a positive number", _checked(float, lambda v: v > 0.0))
 _INTEGER = _parser("an integer", int)
+_NONNEGATIVE_INT = _parser("a nonnegative integer", _checked(int, lambda n: n >= 0))
+_POSITIVE_INT = _parser("a positive integer", positive_int)
 _NUMBERS = _parser("comma-separated numbers", _numbers)
 # one number, or one per mode when the value holds a comma
 _NUMBER_OR_LIST = _parser(
@@ -77,13 +81,20 @@ _NUMBER_OR_LIST = _parser(
 )
 _TEXT = str  # the colon lists are parsed in _validate, against the dimension
 
+
+def _eigenvalues_ok(lam) -> bool:
+    return bool(np.all(np.isfinite(lam)) and np.all(lam > 0.0) and np.all(np.diff(lam) >= 0.0))
+
+
 # every known key of every section: (default, parser); the default "" marks
 # an optional key, whose value is None while it is unset or empty
 _KEYS = {
-    "model": {"kind": ("generic", _choice("generic", "nse")), "c1": ("0.5", _NUMBER),
-              "coupling_n": ("4", _INTEGER), "gamma": ("0.0", _NUMBER)},
+    "model": {"kind": ("generic", _choice("generic", "nse")), "c1": ("0.5", _NONNEGATIVE),
+              "coupling_n": ("4", _NONNEGATIVE_INT), "gamma": ("0.0", _NONNEGATIVE)},
     "basis": {"m": ("16", _INTEGER), "spectrum": ("quadratic", _choice("quadratic")),
-              "scale": ("1.0", _NUMBER), "eigenvalues": ("", _NUMBERS)},
+              "scale": ("1.0", _POSITIVE),
+              "eigenvalues": ("", _parser("positive nondecreasing comma-separated numbers",
+                                          _checked(_numbers, _eigenvalues_ok)))},
     "drift": {"kind": ("linear_decay", _choice("linear_decay", "affine")),
               "rate": ("0.3", _NUMBER_OR_LIST), "shift": ("", _NUMBERS),
               "scale": ("", _NUMBER_OR_LIST)},
@@ -91,17 +102,19 @@ _KEYS = {
     "noise": {"kind": ("diag_affine", _choice("diag_affine")), "s": ("", _NUMBERS),
               "sigma0": ("0.05", _NUMBER), "c_min": ("", _NUMBER), "g_base": ("1.0", _NUMBER),
               "g_slope": ("0.0", _NUMBER), "g_lo": ("1.0", _NUMBER), "g_hi": ("1.0", _NUMBER)},
-    "nse": {"kappa": ("2", _INTEGER), "gamma": ("0.25", _NUMBER), "sigma0": ("0.05", _NUMBER),
-            "forcing": ("", _TEXT), "coupling_n": ("4", _INTEGER)},
-    "stepper": {"dt": ("1e-3", _parser("a positive number", _checked(float, lambda v: v > 0))),
+    "nse": {"kappa": ("2", _POSITIVE_INT), "gamma": ("0.25", _NONNEGATIVE),
+            "sigma0": ("0.05", _NUMBER), "forcing": ("", _TEXT),
+            "coupling_n": ("4", _NONNEGATIVE_INT)},
+    "stepper": {"dt": ("1e-3", _POSITIVE),
                 "scheme": ("projected", _choice("projected", "penalized")),
-                "penalty_n": ("1e4", _NUMBER), "t": ("1.0", _NUMBER)},
-    "plan": {"n_paths": ("8", _parser("a positive integer", positive_int)),
+                "penalty_n": ("1e4", _POSITIVE), "t": ("1.0", _NONNEGATIVE)},
+    "plan": {"n_paths": ("8", _POSITIVE_INT),
              "t_grid": ("auto", _or_auto("comma-separated numbers", _numbers)),  # {T/4, T/2, T}
              "base_seed": ("12345", _INTEGER), "x0": ("", _NUMBERS), "y0": ("", _NUMBERS)},
     "distance": {"delta": ("auto", _or_auto("a number in (0, 1)",
                                             _checked(float, lambda d: 0.0 < d < 1.0))),
-                 "n_tilde": ("auto", _or_auto("a number", float))},
+                 "n_tilde": ("auto", _or_auto("a positive number",
+                                              _checked(float, lambda v: v > 0.0)))},
     "output": {"directory": ("out", _TEXT), "formats": ("csv", _choice("csv"))},
 }
 
@@ -273,13 +286,14 @@ def _validate(cfg: ExperimentConfig, violations: list):
     else:
         from .nse import build_fourier_grid
 
-        dim = None  # kappa < 1 is build_nse_model's error
-        if cfg.value("nse", "kappa") >= 1:
-            dim = build_fourier_grid(cfg.value("nse", "kappa")).dim
-            _parse_colon_list(cfg, "nse", "forcing", 1, dim, violations)
+        dim = build_fourier_grid(cfg.value("nse", "kappa")).dim
+        _parse_colon_list(cfg, "nse", "forcing", 1, dim, violations)
+        if cfg.has("nse", "coupling_n") and not cfg.value("nse", "coupling_n") < dim:
+            violations.append(f"line {_line(cfg, 'nse', 'coupling_n')}: [nse] coupling_n "
+                              f"must be < basis dim {dim} at kappa = {cfg.value('nse', 'kappa')}")
     for key in ("x0", "y0"):
         start = cfg.value("plan", key)
-        if start is not None and dim is not None and start.size != dim:
+        if start is not None and start.size != dim:
             violations.append(
                 f"line {_line(cfg, 'plan', key)}: [plan] {key} needs {dim} numbers, "
                 f"one per basis mode, got {start.size}"
@@ -386,7 +400,7 @@ def build_model_from_config(cfg: ExperimentConfig):
         s = inverse_mode_amplitudes(m, value("noise", "sigma0"))
     noise = diag_affine_noise(
         s,
-        c_min=c_min if c_min is not None else float(s[:n].min()),
+        c_min=c_min if c_min is not None else float(s[:n].min()) if n > 0 else 0.0,
         g_base=value("noise", "g_base"),
         g_slope=value("noise", "g_slope"),
         g_lo=value("noise", "g_lo"),

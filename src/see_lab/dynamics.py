@@ -28,6 +28,15 @@ needs r = |X̃|_H and, on the rows it rescales, the norm of the result, so it
 returns |X_{k+1}|_H as well, bit for bit equal to h_norm_arr(X_{k+1}).  The
 divergence check reads r, σ(X_{k+1}) reads the new norm, and so do the
 recorders, through `RunContext.hnorm`.
+
+Most steps rescale no row, and the kernel does only their work: one test
+max r ≤ 1 decides that every row is inside the ball (a NaN fails it), and
+then X̃ is the new state and r its norm, with no constraint and no
+divergence check (every r is finite).  A state-independent σ
+(`NoiseMap.constant_diag`) is formed once per run, not once per step, and
+σ ΔW once per step for the rows of X, shared by every Y system.  Both
+shortcuts do the same arithmetic as the general step, so results are bit
+for bit the same.
 """
 
 from __future__ import annotations
@@ -103,7 +112,10 @@ class RunContext:
     `hnorm`, `tilde`, `dl_scale` and `diag` hold all R rows, and
     `rows(a, system)` selects the P rows of one system.  `hnorm` is
     |state|_H, the norm the step computed; recorders read it instead of
-    recomputing it and, as with every field, never write to it.  Recorders
+    recomputing it.  Recorders never write to a field: `dl_scale` is
+    read-only on every step (one shared zero array on the steps that
+    rescale no row), and so is `diag` when σ does not depend on the state
+    (then one row broadcast to all R rows for the whole run).  Recorders
     are called once after every step, with `k` the index of the step just
     taken (states are at t_{k+1}); path functionals such as running
     integrals are the recorders' own.
@@ -142,15 +154,17 @@ class RunContext:
         return self.rows(self.tilde, system) * self.rows(self.dl_scale, system)[:, None]
 
 
-def _apply_ball(x_tilde, cfg):
+def _apply_ball(x_tilde, cfg, r=None):
     """Return (x_new, rho, r, rn) with x_new = rho[:,None] * x_tilde exactly,
     r = |x_tilde|_H and rn = |x_new|_H, equal to h_norm_arr(x_new) bit for bit.
+    A caller that has r already passes it.
 
     rho is 1.0 on interior rows, where x_new is x_tilde and rn is r.
     Projected rows are nudged by at most a few ulp so that the recomputed
     H-norm of x_new never exceeds 1.0.
     """
-    r = h_norm_arr(x_tilde)
+    if r is None:
+        r = h_norm_arr(x_tilde)
     outside = r > 1.0
     if not outside.any():
         return x_tilde, np.ones_like(r), r, r
@@ -177,13 +191,14 @@ def _kernel(model, cfg, p, correction=()):
     """The step of a stacked (R, M) state, as step(s, diag, dw) -> (s_new,
     tilde, rho, r, rn): tilde is the semi-implicit Euler state, s_new =
     rho[:, None] * tilde the state after the ball constraint, r = |tilde|_H
-    and rn = |s_new|_H.
+    and rn = |s_new|_H.  When every row of tilde lies in the closed ball,
+    s_new is tilde, rn is r and rho is None: no row was rescaled.
 
-    diag is σ(s) and dw holds the Brownian increments of the P rows of X.
-    `correction` holds one flag per Y system (none in a single run), so
-    R = (1 + J) P.  Row i of every Y system reuses the increments of X row
-    i, and the flagged systems get the steering drift
-    (λ_{N+1}/2) P_N (X − Y).
+    diag is σ(s), unread when σ is constant (NoiseMap.constant_diag), and dw
+    holds the Brownian increments of the P rows of X.  `correction` holds
+    one flag per Y system (none in a single run), so R = (1 + J) P.  Row i
+    of every Y system reuses the increments of X row i, and the flagged
+    systems get the steering drift (λ_{N+1}/2) P_N (X − Y).
     """
     lam = model.basis.eigenvalues
     m = lam.size
@@ -191,6 +206,7 @@ def _kernel(model, cfg, p, correction=()):
     inv1p = 1.0 / (1.0 + dt * lam)
     gamma = model.damping_gamma
     has_b = model.bilinear.kind != "zero"
+    const = model.noise.constant_diag()
     n_cut = model.coupling_n
     n_sys = 1 + len(correction)
     corr = 0.5 * float(lam[n_cut]) if any(correction) else 0.0
@@ -199,23 +215,29 @@ def _kernel(model, cfg, p, correction=()):
     steered = slice(1, None) if all(correction) else np.flatnonzero(correction) + 1
 
     def step(s, diag, dw):
-        d = model.drift.eval_batch(s)
+        d = model.drift.eval_batch(s)  # a fresh array, updated in place
         if has_b:
-            d = d + model.bilinear.bilinear_batch(s, s)
+            d += model.bilinear.bilinear_batch(s, s)
         if gamma != 0.0:
-            d = d - gamma * s
+            d -= gamma * s
+        d3 = d.reshape(n_sys, p, m)  # a view of d
         if corr != 0.0:
-            d3, s3 = d.reshape(n_sys, p, m), s.reshape(n_sys, p, m)
+            s3 = s.reshape(n_sys, p, m)
             d3[steered, :, :n_cut] += corr * (s3[0, :, :n_cut] - s3[steered, :, :n_cut])
-            d = d3.reshape(-1, m)
-        xi = (diag.reshape(n_sys, p, m) * dw).reshape(-1, m)
-        # tilde = (s + dt * d + xi) * inv1p, in place in the fresh drift array
+        # tilde = (s + dt * d + σ dw) * inv1p; a constant σ dw is formed once
+        # for the P rows of X and added to every system's rows
         d *= dt
         d += s
-        d += xi
+        if const is not None:
+            d3 += const * dw
+        else:
+            d3 += diag.reshape(n_sys, p, m) * dw
         d *= inv1p
         with np.errstate(over="ignore", invalid="ignore"):
-            s_new, rho, r, rn = _apply_ball(d, cfg)
+            r = h_norm_arr(d)
+            if not r.size or r.max() <= 1.0:  # a NaN fails the test
+                return d, d, None, r, r
+            s_new, rho, r, rn = _apply_ball(d, cfg, r)
         return s_new, d, rho, r, rn
 
     return step
@@ -296,7 +318,10 @@ def run_paths(
     rt = RunContext(model, cfg, p, len(ys), n_steps, path_indices, seed)
     s = np.concatenate([x0, *ys], dtype=float) if ys else np.array(x0, dtype=float)
     hnorm = h_norm_arr(s)
-    diag = model.noise.diag_batch(s, hnorm)
+    const = model.noise.constant_diag()
+    diag = model.noise.diag_batch(s, hnorm) if const is None else np.broadcast_to(const, s.shape)
+    no_contact = np.zeros(s.shape[0])  # dl_scale of a step that rescaled no row
+    no_contact.flags.writeable = False
     rt.state, rt.hnorm, rt.diag = s, hnorm, diag
     for rec in recorders:
         rec.begin(rt)
@@ -310,12 +335,17 @@ def run_paths(
         dw = noise[:, k % chunk, :]
 
         s, tilde, rho, r, hnorm = step(s, diag, dw)
-        _check_finite(model, r, path_indices, step0 + k + 1, dt)
-        diag = model.noise.diag_batch(s, hnorm)
+        if rho is None:  # every row interior, so every r finite
+            rt.dl_scale = no_contact
+        else:
+            _check_finite(model, r, path_indices, step0 + k + 1, dt)
+            rt.dl_scale = rho - 1.0
+            rt.dl_scale.flags.writeable = False
+        if const is None:
+            diag = rt.diag = model.noise.diag_batch(s, hnorm)
 
         rt.k = k
-        rt.state, rt.hnorm, rt.tilde, rt.diag = s, hnorm, tilde, diag
-        rt.dl_scale = rho - 1.0
+        rt.state, rt.hnorm, rt.tilde = s, hnorm, tilde
         for rec in recorders:
             rec.on_step(rt)
 
@@ -476,7 +506,7 @@ def _step_with_noise(model: ModelSpec, state: StateVector, cfg: StepperConfig, n
     x = _as_batch_x0(model, state)
     dw = np.broadcast_to(np.asarray(noise, dtype=float), x.shape)
     x_new, tilde, rho, _, _ = _kernel(model, cfg, 1)(x, model.noise.diag_batch(x), dw)
-    dl = tilde[0] * (rho[0] - 1.0)
+    dl = tilde[0] * (0.0 if rho is None else rho[0] - 1.0)
     return StateVector(x_new[0], model.basis), StateVector(dl, model.basis)
 
 

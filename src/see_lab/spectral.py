@@ -96,7 +96,8 @@ def _coeffs(v) -> np.ndarray:
 
 
 def h_norm_arr(c: np.ndarray) -> np.ndarray:
-    return np.sqrt((c * c).sum(axis=-1))
+    # the reduction .sum() makes, without its Python wrapper
+    return np.sqrt(np.add.reduce(c * c, axis=-1))
 
 
 def v_norm_arr(lam: np.ndarray, c: np.ndarray) -> np.ndarray:

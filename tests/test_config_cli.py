@@ -608,3 +608,48 @@ def test_python_m_see_lab_runs_the_cli(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+_OUT_OF_RANGE = [
+    ("model", "c1", "-1", "[model] c1 must be a nonnegative number"),
+    ("model", "gamma", "-0.5", "[model] gamma must be a nonnegative number"),
+    ("model", "coupling_n", "-1", "[model] coupling_n must be a nonnegative integer"),
+    ("basis", "eigenvalues", "1,4,2,9,16,25",
+     "[basis] eigenvalues must be positive nondecreasing comma-separated numbers"),
+    ("basis", "eigenvalues", "-1,4,9,16,25,36",
+     "[basis] eigenvalues must be positive nondecreasing comma-separated numbers"),
+    ("basis", "scale", "0", "[basis] scale must be a positive number"),
+    ("nse", "kappa", "0", "[nse] kappa must be a positive integer"),
+    ("nse", "gamma", "-0.25", "[nse] gamma must be a nonnegative number"),
+    ("nse", "coupling_n", "12", "[nse] coupling_n must be < basis dim 12 at kappa = 2"),
+    ("stepper", "penalty_n", "-3", "[stepper] penalty_n must be a positive number"),
+    ("stepper", "t", "-1", "[stepper] t must be a nonnegative number"),
+    ("distance", "n_tilde", "0", "[distance] n_tilde must be a positive number or auto"),
+]
+
+
+@pytest.mark.parametrize(
+    "section,key,value,message", _OUT_OF_RANGE,
+    ids=[f"{s}_{k}_{v}" for s, k, v, _ in _OUT_OF_RANGE],
+)
+def test_value_the_builder_rejects_is_config_error_with_line(
+    tmp_path, capsys, section, key, value, message
+):
+    # values that parse but that a model, stepper or distance builder would
+    # reject are config errors with their line, exit 2
+    sections = {"model": {"kind": "nse" if section == "nse" else "generic",
+                          "coupling_n": "2"}, "stepper": {"t": "0.02"}}
+    sections.setdefault(section, {})[key] = value
+    lines = [ln for s, keys in sections.items()
+             for ln in (f"[{s}]", *(f"{k} = {v}" for k, v in keys.items()))]
+    cfg = _write(tmp_path, "\n".join(lines) + "\n")
+    line = lines.index(f"{key} = {value}") + 1
+    assert main(["couple", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: line {line}: {message}" in capsys.readouterr().err
+
+
+def test_zero_coupled_modes_build():
+    # N = 0 leaves no coupled modes, so the default floor c_min is 0, as in
+    # the NSE builder
+    model = build_model_from_config(parse_config_text("[model]\ncoupling_n = 0\n"))
+    assert model.coupling_n == 0 and model.noise.c_min == 0.0

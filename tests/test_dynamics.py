@@ -726,3 +726,147 @@ def test_dump_path_csv_format(tmp_path):
     assert fname.endswith("path_14_0.csv")
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[-1]) == 0.0
+
+
+# the interior step -----------------------------------------------------
+
+
+def _slope_model(base):
+    # base with σ depending on the state: g(r) = 1 + r/2, never clipped
+    return build_model(
+        basis=base.basis, drift=base.drift, bilinear=base.bilinear,
+        noise=diag_affine_noise(base.noise.s, c_min=base.noise.c_min, g_slope=0.5,
+                                g_lo=0.5, g_hi=2.0),
+        lipschitz_c1=base.lipschitz_c1 + 1.0, coupling_n=base.coupling_n,
+    )
+
+
+def test_constant_diag_only_for_state_independent_noise():
+    s = np.array([0.3, 0.2, 0.1])
+    u = np.random.default_rng(0).standard_normal((5, 3))
+    for kw in ({}, {"g_base": 0.7, "g_lo": 0.5, "g_hi": 2.0}, {"g_slope": 3.0, "g_lo": 0.8,
+                                                               "g_hi": 0.8}):
+        noise = diag_affine_noise(s, c_min=0.1, **kw)
+        const = noise.constant_diag()
+        assert noise.diag_batch(u).tobytes() == np.tile(const, (5, 1)).tobytes()
+    assert diag_affine_noise(s, c_min=0.1, g_slope=0.5, g_lo=0.5, g_hi=2.0).constant_diag() \
+        is None
+    assert NoiseMap(kind="custom", diag_fn=lambda u: np.ones_like(u)).constant_diag() is None
+
+
+@pytest.mark.parametrize("n_y", [0, 1, 4])
+def test_empty_batch_runs(n_y):
+    from see_lab.dynamics import BallRecorder, run_paths
+
+    model = benchmark_model()
+    x0 = np.zeros((0, model.dim))
+    y0 = None  # a single run; one Y is (P, M), J of them (J, P, M)
+    if n_y == 1:
+        y0 = x0.copy()
+    elif n_y > 1:
+        y0 = np.zeros((n_y, 0, model.dim))
+    ball = BallRecorder()
+    xf, yf = run_paths(model, StepperConfig(), x0, 5, 1, [], recorders=[ball], y0=y0)
+    assert xf.shape == (0, model.dim) and ball.max_h.shape == (0,)
+    assert yf is None if n_y == 0 else yf.shape == y0.shape
+
+
+class _Writer:
+    """A recorder that writes to one RunContext field on its first step."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def begin(self, rt):
+        pass
+
+    def on_step(self, rt):
+        getattr(rt, self.field)[0] = 1.0
+
+
+@pytest.mark.parametrize("field", ["dl_scale", "diag"])
+@pytest.mark.parametrize("name", ["benchmark", "boundary_active"])
+def test_recorder_cannot_write_shared_fields(name, field):
+    # dl_scale on every step and a constant σ's diagonal are read-only, so a
+    # recorder that writes to them fails at once instead of bending the run
+    from see_lab.dynamics import run_paths
+
+    model = benchmark_model() if name == "benchmark" else boundary_active_model()
+    x0 = np.zeros((4, model.dim))
+    x0[:, 0] = 0.5 if name == "benchmark" else 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        run_paths(model, StepperConfig(), x0, 3, 1, range(4), recorders=[_Writer(field)])
+
+
+@pytest.mark.parametrize("scheme", ["projected", "penalized"])
+@pytest.mark.parametrize("coupled", [False, True])
+def test_nan_row_on_an_interior_step_diverges(scheme, coupled):
+    # every other row stays well inside the ball, so the NaN row alone fails
+    # the interior test; the error names its path and the absolute step
+    from see_lab.dynamics import run_paths
+
+    model = benchmark_model()
+    xs = np.zeros((3, model.dim))
+    xs[:, 0] = 0.3
+    ys = xs.copy() if coupled else None
+    (ys if coupled else xs)[1, 2] = np.nan
+    with pytest.raises(DivergedError) as err:
+        run_paths(model, StepperConfig(scheme=scheme), xs, 10, 3, [7, 8, 9], y0=ys, step0=40)
+    e = err.value
+    assert (e.path_index, e.step, e.model_id) == (8, 41, model.model_id)
+    assert np.isnan(e.h_norm)
+
+
+def _count_calls(monkeypatch):
+    from see_lab import dynamics
+
+    calls = {"diag_batch": 0, "check_finite": 0}
+    diag_batch, check_finite = NoiseMap.diag_batch, dynamics._check_finite
+
+    def counted_diag(*args, **kwargs):
+        calls["diag_batch"] += 1
+        return diag_batch(*args, **kwargs)
+
+    def counted_check(*args, **kwargs):
+        calls["check_finite"] += 1
+        return check_finite(*args, **kwargs)
+
+    monkeypatch.setattr(NoiseMap, "diag_batch", counted_diag)
+    monkeypatch.setattr(dynamics, "_check_finite", counted_check)
+    return calls
+
+
+class _ContactSteps:
+    def begin(self, rt):
+        self.steps = 0
+
+    def on_step(self, rt):
+        self.steps += bool((rt.dl_scale < 0.0).any())
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_interior_step_work_by_call_count(monkeypatch, coupled):
+    # no timing: an interior run with constant σ never evaluates σ or the
+    # divergence check; σ that depends on the state is evaluated once per
+    # step and at the start; the check runs on each step with a contact
+    from see_lab.dynamics import run_paths
+
+    calls = _count_calls(monkeypatch)
+    cfg, n_steps = StepperConfig(), 50
+
+    def run(model, start):
+        x0 = np.zeros((6, model.dim))
+        x0[:, 0] = start
+        y0 = -x0 if coupled else None
+        contacts = _ContactSteps()
+        calls.update(diag_batch=0, check_finite=0)
+        run_paths(model, cfg, x0, n_steps, 2, range(6), recorders=[contacts], y0=y0)
+        return contacts.steps
+
+    assert run(benchmark_model(), 0.5) == 0
+    assert calls == {"diag_batch": 0, "check_finite": 0}
+    assert run(_slope_model(benchmark_model()), 0.5) == 0
+    assert calls == {"diag_batch": n_steps + 1, "check_finite": 0}
+    contact_steps = run(boundary_active_model(), 0.95)  # reaches the sphere mid-run
+    assert 0 < contact_steps < n_steps
+    assert calls == {"diag_batch": 0, "check_finite": contact_steps}

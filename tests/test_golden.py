@@ -286,3 +286,68 @@ def test_occupation_digest():
         verdict, rows = invariance_residual(model, occ, 0.02, 6, plan)
         h.update(repr((name, verdict, rows)).encode())
     assert h.hexdigest() == OCCUPATION_SHA256
+
+
+# Paths the digests above do not reach: every built-in model has a constant
+# σ.  Here σ depends on the state, through g(|X|_H) (never clipped: g runs
+# from 1 to 1.5 in the ball) or through a custom hook, and one case runs the
+# penalized scheme on the sphere.  Single runs step 200 steps from the golden
+# starts; the coupled case steps X with one steered and one synchronous Y.
+NOISE_PATH_SHA256 = {
+    "slope_benchmark":
+        "8261fc9b5c1e6481901df1b247c974f56f86d973ac5fc3df6256280981204b75",
+    "slope_boundary_active":
+        "e6c25cc077cfe6fbf72f75ba651701f3f55ebb678c33731d1f448f64b04cd85b",
+    "custom_benchmark":
+        "77dae3fd8d152b8c0d5913dbe7dd9ef6a548f9c03da8256561e128463954ee2a",
+    "custom_boundary_active":
+        "794696490e36313e9fd2dc56e0e94103f58ba7556617f9513165779bf8ef5908",
+    "penalized_boundary_active":
+        "3254e5befbd606c25eeb631a1faeab5b8989275b05057bab586172f0089441ff",
+}
+SLOPE_COUPLED_SHA256 = "278998cb0e553686b00b43771031891fa5273b2167051e22a31eca8a49dd71b2"
+
+
+def _state_noise_model(base, kind):
+    from see_lab.coefficients import NoiseMap, build_model, diag_affine_noise
+
+    s = base.noise.s
+    if kind == "slope":
+        noise = diag_affine_noise(s, c_min=base.noise.c_min, g_base=1.0, g_slope=0.5,
+                                  g_lo=0.5, g_hi=2.0)
+    else:
+        noise = NoiseMap(kind="custom",
+                         diag_fn=lambda u: s * (1.0 + 2.0 * u[:, :1] * u[:, :1]) - 0.01 * u)
+    return build_model(basis=base.basis, drift=base.drift, bilinear=base.bilinear, noise=noise,
+                       lipschitz_c1=base.lipschitz_c1 + 1.0, coupling_n=base.coupling_n)
+
+
+def _noise_path_case(name):
+    kind, base_name = name.split("_", 1)
+    model, x0 = _golden_case(base_name)
+    if kind != "penalized":
+        model = _state_noise_model(model, kind)
+    scheme = "penalized" if kind == "penalized" else "projected"
+    return model, x0, StepperConfig(dt=1e-3, scheme=scheme)
+
+
+@pytest.mark.parametrize("name", sorted(NOISE_PATH_SHA256))
+def test_noise_path_digest(name):
+    model, x0, cfg = _noise_path_case(name)
+    path = simulate_path(model, x0, 0.2, cfg, seed=77, path_index=3)
+    assert NOISE_PATH_SHA256[name] == _sha256(path.states, path.ledger.increments)
+
+
+def test_state_noise_coupled_digest():
+    from see_lab.dynamics import TrajectoryRecorder, run_paths
+
+    model, x0, cfg = _noise_path_case("slope_boundary_active")
+    m = model.dim
+    xs = np.repeat(x0[None, :], 3, axis=0)
+    ys = np.stack([np.stack([-x0, 0.5 * x0[::-1], _spread_start(m, 0.99)[::-1]])] * 2)
+    ys[1] *= 0.9
+    recs = [TrajectoryRecorder(system) for system in ("x", 0, 1)]
+    run_paths(model, cfg, xs, 200, 77, [3, 4, 9], recorders=recs, y0=ys,
+              correction=(True, False))
+    digest = _sha256(*(a for r in recs for a in (r.states, r.increments)))
+    assert digest == SLOPE_COUPLED_SHA256

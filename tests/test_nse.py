@@ -178,6 +178,27 @@ def test_sparse_convection_rows_independent_of_batch(kappa):
             )
 
 
+
+@pytest.mark.parametrize("kappa", [2, 4])
+def test_pair_contract_blocks_equal_one_contraction(kappa, monkeypatch):
+    # row blocks around the block size give the one-shot contraction bit
+    # for bit, for B(u, u) (the folded pair list) and B(u, v)
+    from see_lab import coefficients
+
+    form = build_nse_model(kappa=kappa, gamma=1.0).spec.bilinear
+    rng = np.random.default_rng(30 + kappa)
+    for p in (1, 63, 64, 65, 400):
+        u = rng.standard_normal((p, form.dim))
+        v = rng.standard_normal((p, form.dim))
+        blocked = form.bilinear_batch(u, u), form.bilinear_batch(u, v)
+        monkeypatch.setattr(coefficients, "_PAIR_BLOCK", 10**9)
+        whole = form.bilinear_batch(u, u), form.bilinear_batch(u, v)
+        monkeypatch.undo()
+        assert coefficients._PAIR_BLOCK == 64
+        for out, ref in zip(blocked, whole):
+            assert out.shape == (p, form.dim) and out.flags.c_contiguous
+            assert out.tobytes() == ref.tobytes(), p
+
 def test_form_bounds_nse_convective():
     model = build_nse_model(kappa=2, gamma=1.0)
     rep = check_form_bounds(model.spec, samples=1000, seed=5)
