@@ -137,6 +137,7 @@ def cmd_couple(cfg, args, out_dir):
     x0, y0 = start_vector(cfg, model, "x0"), start_vector(cfg, model, "y0")
     if not cfg.has("plan", "x0") and not cfg.has("plan", "y0"):
         x0[0], y0[0] = 0.5, -0.5  # both unset, so both zero
+    c_bound = shift_bound_constant(model)  # no pseudo-inverse: fail before stepping
     _warn_if_h1_fails(model)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "spectral-gap condition fails", UserWarning)
@@ -146,7 +147,6 @@ def cmd_couple(cfg, args, out_dir):
             range(_plan_value(cfg, args.paths, "n_paths")),
         )
     files = [dump_coupled_csv(c, dist, out_dir) for c in coupled]
-    c_bound = shift_bound_constant(model)
     worst = 0.0
     for c in coupled:
         gap = h_norm_arr(c.x_path.states - c.y_path.states)

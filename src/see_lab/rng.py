@@ -13,8 +13,18 @@ batch: each thread keeps one Philox generator and one state dict, sets the
 key once per call and, for each path, moves only the counter before that
 path's read, which gives the generator a fresh `Philox(key=seed,
 counter=block)` would be, without building one.  The words land in one
-buffer, which is then turned into normals in place, in passes of about
-2^16 words that stay in cache.
+buffer and are turned into normals in place, in passes of at most 2^16
+words that stay in cache.
+
+The two stages overlap.  The calling thread fills the buffer path by path
+and hands each pass to one worker thread as soon as its words are in;
+`ndtri` releases the GIL, so the worker converts while the caller fills.
+After the fill the caller takes back, last first, every pass the worker
+has not started and converts it itself, then waits for the rest.  The
+process has one such worker, made the first time a chunk has more than
+one pass, and none on a single core; a worker that never starts costs
+time, never the result.  Every word goes through the same arithmetic on
+whichever thread, so the draws do not depend on the core count.
 
 Counter layout (units of 4-word Philox blocks):
 
@@ -28,7 +38,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -38,6 +50,8 @@ _PATH_SHIFT = 96
 _MASK64 = (1 << 64) - 1
 _PASS_WORDS = 1 << 16  # words turned into normals per pass (512 KiB)
 _local = threading.local()
+_pool_lock = threading.Lock()
+_pool: tuple[ThreadPoolExecutor | None, int] = (None, 0)  # (worker, pid that made it)
 
 
 def _stride_blocks(k: int) -> int:
@@ -74,6 +88,34 @@ def _generator():
     return gen, _local.state
 
 
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker() -> ThreadPoolExecutor | None:
+    """The process's one conversion worker, made on first use (again in a
+    forked child, which has no thread behind its parent's), or None on a
+    single core."""
+    global _pool
+    if _cores() < 2:
+        return None
+    with _pool_lock:
+        if _pool[1] != os.getpid():
+            _pool = (ThreadPoolExecutor(1, thread_name_prefix="see-lab-noise"), os.getpid())
+        return _pool[0]
+
+
+def _to_normals(u: np.ndarray, sd: float) -> None:
+    """Turn a pass of uniforms in [0, 1) into N(0, sd^2) draws in place."""
+    u += 2.0**-54  # open at both ends: (0, 1)
+    ndtri(u, out=u)
+    u *= sd
+
+
 def gaussian_increments(
     seed: int, path_index: int, step: int, k: int, dt: float
 ) -> np.ndarray:
@@ -95,6 +137,11 @@ def gaussian_block(
     path indices, giving (P, n_steps, k) whose entry i is the block of path
     path_index[i], bit for bit.  With `out`, an array of that shape, the
     draws are written there and `out` is returned.
+
+    The caller fills the keystream words; each filled pass of at most 2^16
+    words goes to the worker, and the caller converts the passes the worker
+    has not started.  Without `out` the result is a view of the word
+    buffer, strided when k is not a multiple of 4.
     """
     indices = np.ravel(path_index).tolist()
     shape = (n_steps, k) if np.ndim(path_index) == 0 else (len(indices), n_steps, k)
@@ -106,27 +153,33 @@ def gaussian_block(
     bg = gen.bit_generator
     state["state"]["key"] = _words(int(seed), 2, "key")
     counter = state["state"]["counter"]
+    # every counter is range-checked before any pass goes to the worker
+    counters = [_words((pi << _PATH_SHIFT) + base, 4, "counter") for pi in indices]
     # one buffer for the chunk: the generator's `random` writes each word w
-    # as (w >> 11) * 2**-53, the top 53 bits as a uniform in [0, 1)
+    # as (w >> 11) * 2**-53, the top 53 bits as a uniform in [0, 1); a
+    # step's k draws are the first k of its width words
     buf = np.empty((len(indices), n_steps * width))
-    for row, pi in enumerate(indices):
-        counter[:] = _words((pi << _PATH_SHIFT) + base, 4, "counter")
+    words = buf.reshape(-1, width)
+    rows_per_pass = max(1, _PASS_WORDS // width)
+    pool = _worker() if len(words) > rows_per_pass else None
+    sd = math.sqrt(dt)
+    passes, queued = [], 0
+    for row, words_of_counter in enumerate(counters):
+        counter[:] = words_of_counter
         bg.state = state
         gen.random(out=buf[row])
-    # the normals are packed k to a step over the words, width >= k to a
-    # step, so no pass overwrites words that a later pass reads (ndtri
-    # buffers the overlap inside a pass)
-    words = buf.reshape(-1, width)
-    z = buf.reshape(-1)[:words.shape[0] * k].reshape(-1, k)
-    rows_per_pass = max(1, _PASS_WORDS // width)
-    sd = math.sqrt(dt)
-    for a in range(0, words.shape[0], rows_per_pass):
-        u = words[a:a + rows_per_pass]
-        u += 2.0**-54  # open at both ends: (0, 1)
-        zz = z[a:a + rows_per_pass]
-        ndtri(u[:, :k], out=zz)
-        zz *= sd
-    z = z.reshape(shape)
+        filled = (row + 1) * n_steps
+        while queued < filled and (filled - queued >= rows_per_pass or filled == len(words)):
+            u = words[queued:queued + rows_per_pass, :k]
+            # with no worker the pass waits, unstarted, for the caller
+            passes.append((u, pool.submit(_to_normals, u, sd) if pool else Future()))
+            queued += len(u)
+    for u, job in reversed(passes):
+        if job.cancel():  # not started: convert it here
+            _to_normals(u, sd)
+        else:
+            job.result()  # started passes come first, so each is waited on once
+    z = words[:, :k].reshape(shape)
     if out is None:
         return z
     out[...] = z

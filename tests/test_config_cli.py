@@ -560,6 +560,33 @@ def test_couple_on_an_h1_failing_model_prints_one_warning_line(tmp_path):
     assert done.stderr == "warning: spectral-gap condition fails for this model\n"
 
 
+def test_couple_without_a_pseudo_inverse_fails_before_stepping(tmp_path, monkeypatch):
+    # coupling_n = 0 leaves no coupled mode to invert: one `error:` line,
+    # no warning of either kind, exit 1, and no path stepped or written
+    import see_lab.cli as cli
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cfg = _write(tmp_path, "[model]\ncoupling_n = 0\n[basis]\nm = 4\n[stepper]\nt = 0.02\n"
+                           "[plan]\nn_paths = 2\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "see_lab", "couple", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "error: noise map has no pseudo-inverse on the coupled modes"]
+    assert not list(tmp_path.glob("o/*.csv"))
+
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("stepped a model it cannot couple")
+
+    monkeypatch.setattr(cli, "simulate_coupled_paths", no_stepping)
+    assert main(["couple", "--config", cfg, "--out", str(tmp_path / "i")]) == 1
+
+
 def test_battery_on_an_h1_failing_model_does_not_warn():
     # the H1 failure is the h1_spectral_gap verdict, not also a UserWarning
     import warnings

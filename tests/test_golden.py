@@ -67,6 +67,24 @@ def test_gaussian_block_stream_digest():
     assert _sha256(*blocks) == GAUSSIAN_BLOCK_SHA256
 
 
+# computed when gaussian_block still packed k < 4*ceil(k/4) draws into a
+# contiguous array; the strided views it returns now hold the same bytes
+GAUSSIAN_BLOCK_STRIDED_SHA256 = "98013b62c6cf8789e196602fbecf532a6597a2cde52cf47b647543b612e724bb"
+
+
+def test_gaussian_block_strided_stream_digest():
+    # k % 4 != 0, and a 3-path chunk of two conversion passes
+    blocks = [
+        gaussian_block(seed, path, step, n_steps, k, 1e-3)
+        for seed, path, step, n_steps, k in (
+            (0, 0, 0, 64, 1), (2024, 7, 1000, 64, 3), (2**40 + 3, 123456, 5, 64, 5),
+            (11, np.array([0, 5, 2**40]), 2**62 - 3, 2000, 13),
+        )
+    ]
+    assert not blocks[-1].flags.c_contiguous
+    assert _sha256(*blocks) == GAUSSIAN_BLOCK_STRIDED_SHA256
+
+
 @pytest.mark.parametrize("name", sorted(TRAJECTORY_SHA256))
 def test_trajectory_digest(name):
     model, x0 = _golden_case(name)

@@ -7,7 +7,7 @@ import pytest
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from see_lab.rng import derive_seed, gaussian_block, gaussian_increments
+from see_lab.rng import derive_seed, gaussian_block, gaussian_increments, words_per_step
 
 DT = 1e-3
 
@@ -221,3 +221,145 @@ def test_threads_read_the_same_blocks():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert len(reads) == 20 * len(jobs) and not bad
+
+
+@pytest.fixture
+def fresh_worker(monkeypatch):
+    # a two-core process whose conversion worker is not made yet; the
+    # worker this test makes is shut down at the end
+    from see_lab import rng
+
+    monkeypatch.setattr(rng, "_pool", (None, 0))
+    monkeypatch.setattr(rng, "_cores", lambda: 2)
+    yield rng
+    if rng._pool[0] is not None:
+        rng._pool[0].shutdown()
+
+
+@pytest.fixture
+def ndtri_calls(monkeypatch):
+    # (thread, words, address) of every pass turned into normals
+    from see_lab import rng
+
+    calls = []
+
+    def counted(u, out=None):
+        calls.append((threading.current_thread(), u.size, u.ctypes.data))
+        return ndtri(u, out=out)
+
+    monkeypatch.setattr(rng, "ndtri", counted)
+    return calls
+
+
+def _rows_per_pass(k):
+    from see_lab.rng import _PASS_WORDS, words_per_step
+
+    return max(1, _PASS_WORDS // words_per_step(k))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 16, 48])
+def test_draws_do_not_depend_on_the_worker(fresh_worker, monkeypatch, k):
+    # P paths over 1, 2 and 6 conversion passes (P = 2000 at k = 48 needs
+    # two passes for one step), at every STEP0S, with the worker and with
+    # the caller alone
+    rpp = _rows_per_pass(k)
+    for p in (1, 2, 37, 2000):
+        idx = 7 * np.arange(p) + 3
+        for passes in (1, 2, 6):
+            n_steps = (passes - 1) * rpp // p + 1
+            for step0 in STEP0S:
+                monkeypatch.setattr(fresh_worker, "_cores", lambda: 2)
+                got = gaussian_block(5, idx, step0, n_steps, k, DT)
+                monkeypatch.setattr(fresh_worker, "_cores", lambda: 1)
+                alone = gaussian_block(5, idx, step0, n_steps, k, DT)
+                assert got.shape == (p, n_steps, k)
+                assert got.tobytes() == alone.tobytes(), (p, n_steps, step0)
+                fresh = _fresh_block(5, int(idx[-1]), step0, n_steps, k, DT)
+                assert got[-1].tobytes() == fresh.tobytes(), (p, n_steps, step0)
+    assert fresh_worker._pool[0] is not None
+
+
+def test_a_blocked_worker_leaves_every_pass_to_the_caller(fresh_worker, ndtri_calls):
+    idx = np.arange(2000)
+    ref = gaussian_block(9, idx, 4, 50, 16, DT).copy()
+    ndtri_calls.clear()
+    gate = threading.Event()
+    blocker = fresh_worker._worker().submit(gate.wait, 60)
+    try:
+        got = gaussian_block(9, idx, 4, 50, 16, DT)
+    finally:
+        gate.set()
+    assert blocker.result(timeout=60)
+    assert got.tobytes() == ref.tobytes()
+    assert len(ndtri_calls) == math.ceil(2000 * 50 / _rows_per_pass(16))
+    assert {t for t, _, _ in ndtri_calls} == {threading.main_thread()}
+
+
+@pytest.mark.parametrize("p, n_steps, k", [(2000, 50, 16), (200, 166, 48), (37, 900, 5),
+                                           (1, 40000, 1), (1, 1000, 16)])
+def test_each_pass_is_converted_once(fresh_worker, ndtri_calls, p, n_steps, k):
+    # no timing: count the passes that reach ndtri, on whichever thread
+    before = threading.active_count()
+    z = gaussian_block(1, np.arange(p), 0, n_steps, k, DT)
+    rpp, rows = _rows_per_pass(k), p * n_steps
+    sizes = sorted(size for _, size, _ in ndtri_calls)
+    assert sizes == sorted(min(rpp, rows - a) * k for a in range(0, rows, rpp))
+    assert len({address for _, _, address in ndtri_calls}) == len(ndtri_calls)
+    assert max(sizes) * words_per_step(k) // k <= 2**16
+    assert z.shape == (p, n_steps, k) and np.isfinite(z).all()
+    if rows <= rpp:  # one pass: no worker is made, no thread started
+        assert fresh_worker._pool[0] is None
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_at_most_one_worker_thread(fresh_worker, monkeypatch, cores):
+    # four callers with chunks of many passes share the one worker; on a
+    # single core there is none and the callers convert every pass
+    monkeypatch.setattr(fresh_worker, "_cores", lambda: cores)
+    before = threading.active_count()
+    seen = []
+
+    def work(seed):
+        for _ in range(3):
+            gaussian_block(seed, np.arange(100), 0, 200, 16, DT)
+            seen.append(threading.active_count())
+
+    callers = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in callers) and len(seen) == 12
+    assert max(seen) <= before + 4 + (cores - 1)
+    assert threading.active_count() == before + (cores - 1)
+    assert (fresh_worker._pool[0] is None) == (cores == 1)
+
+
+def test_threads_read_the_same_many_pass_chunks(fresh_worker):
+    # as test_threads_read_the_same_blocks, with chunks of 2 to 5 passes,
+    # so callers' passes interleave in the worker's queue
+    jobs = [(seed, 5 * np.arange(p) + path, 37 * path, 20000 // p, k) for seed in (1, 2)
+            for path, p in enumerate((3, 8)) for k in (3, 16)]
+    expected = [gaussian_block(*job, DT).tobytes() for job in jobs]
+    reads, bad = [], []
+
+    def work(offset):
+        for _ in range(3):
+            for i in range(offset, len(jobs), 4):
+                if gaussian_block(*jobs[i], DT).tobytes() != expected[i]:
+                    bad.append(i)
+                reads.append(i)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(reads) == 3 * len(jobs) and not bad
