@@ -13,6 +13,7 @@ mode axis last; single-vector operations wrap the batch kernels with P = 1.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,12 +243,18 @@ class NoiseMap:
         return np.sqrt((d * d).sum(axis=-1))
 
     def pseudo_inverse_floor(self, n: int) -> float | None:
-        """Lower bound of the diagonal on modes 1..N, or None if unavailable."""
+        """Lower bound of the diagonal on modes 1..N, or None when there is
+        no positive one.  With N = 0 there is nothing to invert: β is empty
+        and the floor is inf."""
+        if n == 0:
+            return math.inf
         if self.kind == "diag_affine":
-            if self.c_min <= 0.0 or np.any(self.s[:n] < self.c_min):
+            if np.any(self.s[:n] < self.c_min):
                 return None
-            return self.c_min * self.g_lo
-        return self.pinv_floor
+            floor = self.c_min * self.g_lo
+        else:
+            floor = self.pinv_floor
+        return floor if floor is not None and floor > 0.0 else None
 
 
 def diag_affine_noise(

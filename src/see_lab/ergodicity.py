@@ -15,11 +15,15 @@ Verdicts widen by 2 standard errors (≈95% CI) so that inequalities that hold
 in expectation do not fail on sampling noise.  Every estimator is a
 deterministic function of (plan.base_seed, model): sub-streams are derived
 per estimator name, and aggregation is done on per-path arrays assembled in
-path-index order.  Each pair estimator steps all its pairs as one run and
-reduces raw per-path values afterwards.  A run steps X once with J Y
-systems on X's noise, so the battery steps X from x once, with the steered
-Y and Feller's three scales as its Y systems, and feeds six estimators
-from that run.
+path-index order.  Each fixed-start estimator runs its paths from one
+start and reduces raw per-path values afterwards.  A run steps X once with
+J Y systems on X's noise, so the battery steps X from x once, with the
+steered Y and Feller's three scales as its Y systems, and feeds six
+estimators from that run.  The sampled-pair checks (contraction and
+d-smallness) share one runner: it steps all their start pairs as one
+stacked run, one grid segment at a time, and yields mean + 2se of d for
+every pair at each grid time.  Every upper-bound verdict is built by one
+function from one rule, mean ≤ bound + 2se at every grid time.
 """
 
 from __future__ import annotations
@@ -133,12 +137,9 @@ def _series_from_values(t_grid, values) -> EstimateSeries:
     n_effective counts the finite samples."""
     n_eff = np.isfinite(values).sum(axis=0)
     mean = values.mean(axis=0)
-    if values.shape[0] > 1:
-        with np.errstate(invalid="ignore"):
-            sd = values.std(axis=0, ddof=1)
-        stderr = np.where(np.isfinite(sd), sd / np.sqrt(values.shape[0]), np.inf)
-    else:
-        stderr = np.zeros(values.shape[1])
+    with np.errstate(invalid="ignore"):
+        sd = values.std(axis=0, ddof=1)
+    stderr = np.where(np.isfinite(sd), sd / np.sqrt(values.shape[0]), np.inf)
     return EstimateSeries(np.asarray(t_grid, float), mean, stderr, n_eff)
 
 
@@ -189,19 +190,18 @@ class ValueCapture:
         self.values[name][..., col] = val
 
 
-def _check_starts(model, xs, ys=()):
-    """Every row of the X starts xs and of each Y start array in ys has
-    length M and lies in the closed unit ball, as in simulate_path; a bad
-    row raises ValidationError naming it x0 or y0."""
-    for name, starts in [("x0", xs), *(("y0", y) for y in ys)]:
-        for row in np.atleast_2d(np.asarray(starts, dtype=float)):
-            _as_batch_x0(model, row, name)
+def _check_starts(model, x, ys=()):
+    """The X start x and every Y start in ys has length M and lies in the
+    closed unit ball, as in simulate_path; a bad start raises
+    ValidationError naming it x0 or y0."""
+    for name, start in [("x0", x), *(("y0", y) for y in ys)]:
+        _as_batch_x0(model, start, name)
 
 
 def _run_captured(
     model,
     plan: MonteCarloPlan,
-    starts,
+    start,
     seed_tag: str,
     channels,
     sups=None,
@@ -209,35 +209,28 @@ def _run_captured(
     correction=True,
     integrals=(),
 ):
-    """Run plan.n_paths paths from each start row as one run_paths call, in
-    which path i of start s is path s * n_paths + i, and capture channel
-    values.
+    """Run plan.n_paths paths from the start (M,) as one run_paths call and
+    capture channel values.
 
-    starts is (M,) or (S, M).  A coupled run adds J Y systems: y_starts
-    holds J arrays, each (M,) or (S, M), system j of start s begins at row
-    s of y_starts[j], and `correction` flags the steered systems.
-    `integrals` are the recorders the channels read; they run before the
-    capture.  Every start row and Y start row must pass _check_starts; only
-    then do they broadcast against each other.  Returns dict name ->
-    (..., S, n_paths, G), the leading axes those of the channel's value.
+    A coupled run adds J Y systems: Y system j begins at y_starts[j], (M,),
+    and `correction` flags the steered systems.  `integrals` are the
+    recorders the channels read; they run before the capture.  The start
+    and every Y start must pass _check_starts.  Returns dict name ->
+    (..., n_paths, G), the leading axes those of the channel's value.
     """
     plan.check_model(model)
     grid_steps = plan.grid_steps
-    _check_starts(model, starts, y_starts)
-    starts, *y_starts = np.broadcast_arrays(
-        *(np.atleast_2d(np.asarray(a, dtype=float)) for a in (starts, *y_starts))
-    )
-    x0 = np.repeat(starts, plan.n_paths, axis=0)
-    y0 = np.repeat(np.stack(y_starts), plan.n_paths, axis=1) if y_starts else None
+    _check_starts(model, start, y_starts)
+    x0 = np.repeat(np.asarray(start, dtype=float)[None], plan.n_paths, axis=0)
+    y0 = None
+    if y_starts:
+        y0 = np.repeat(np.asarray(y_starts, dtype=float)[:, None], plan.n_paths, axis=1)
     cap = ValueCapture(grid_steps, channels, sups)
     run_paths(
         model, plan.cfg, x0, int(grid_steps.max()), derive_seed(plan.base_seed, seed_tag),
-        np.arange(x0.shape[0]), recorders=[*integrals, cap], y0=y0, correction=correction,
+        np.arange(plan.n_paths), recorders=[*integrals, cap], y0=y0, correction=correction,
     )
-    return {
-        name: v.reshape(*v.shape[:-2], -1, plan.n_paths, v.shape[-1])
-        for name, v in cap.values.items()
-    }
+    return cap.values
 
 
 class _SqNormIntegral:
@@ -265,23 +258,22 @@ class _SqNormIntegral:
 
 
 def _pair_values(
-    model, plan: MonteCarloPlan, xs, ys, seed_tag, vint=False, sup=None,
+    model, plan: MonteCarloPlan, x, ys, seed_tag, vint=False, sup=None,
     correction=True, shift=None,
 ):
-    """Raw per-path values of plan.n_paths coupled paths from each start
-    xs[i], with J Y systems, all stepped as one run_paths call: Y system j
-    starts at ys[j][i], and `correction` (one bool, or one per system) says
-    which systems are steered.  At the grid times:
+    """Raw per-path values of plan.n_paths coupled paths from the start x,
+    with J Y systems, all stepped as one run_paths call: Y system j starts
+    at ys[j], and `correction` (one bool, or one per system) says which
+    systems are steered.  At the grid times:
 
-      g2    |X − Y_j|²_H of every Y system, (J, S, n_paths, G);
-      vint  ∫₀ᵗ ‖X‖²_V, (S, n_paths, G), when asked for;
+      g2    |X − Y_j|²_H of every Y system, (J, n_paths, G);
+      vint  ∫₀ᵗ ‖X‖²_V, (n_paths, G), when asked for;
       sup   sup_{s≤t} e^{-4∫₀ˢ‖X‖²_V} |X − Y_j|²_H of the Y systems that the
             slice `sup` selects, when given; e^{-4∫‖X‖²_V} is computed once
             per step for all of them.
 
-    xs and each ys[j] are (M,) or (S, M) and broadcast against each other.
-    A ShiftRecorder `shift` on Y system 0 rides along.  The estimators
-    reduce these values.
+    x and each ys[j] are (M,).  A ShiftRecorder `shift` on Y system 0 rides
+    along.  The estimators reduce these values.
     """
     vsq = _SqNormIntegral(model.basis.eigenvalues)
 
@@ -296,7 +288,7 @@ def _pair_values(
     if sup is not None:
         sups = {"sup": lambda rt: np.exp(-4.0 * vsq.trapz) * g2(rt, sup)}
     integrals = ([vsq] if vint or sup is not None else []) + ([shift] if shift is not None else [])
-    return _run_captured(model, plan, xs, seed_tag, channels, sups, ys, correction, integrals)
+    return _run_captured(model, plan, x, seed_tag, channels, sups, ys, correction, integrals)
 
 
 def _weighted_gap(vals, coef: float, power: int):
@@ -313,10 +305,17 @@ def _distance(vals, p: DistanceParams):
 def _upper_slack(series: EstimateSeries, bound):
     """bound + 2se − mean at every grid time.  An estimate passes its upper
     bound where this is ≥ 0 (mean ≤ bound + 2se), and the least of it is
-    the margin, in the statistic's own units.  The weighted-contraction,
-    exp-integrability and Lyapunov verdicts and the pass column of every
-    series CSV use this one rule."""
+    the margin, in the statistic's own units.  _upper_verdict (the
+    weighted-contraction, exp-integrability and Lyapunov verdicts) and the
+    pass column of every series CSV use this one rule."""
     return np.asarray(bound) + 2.0 * series.stderr - series.mean
+
+
+def _upper_verdict(name, series: EstimateSeries, bound, detail) -> Verdict:
+    """Passes iff _upper_slack ≥ 0 at every grid time; its least value is
+    the margin."""
+    slack = _upper_slack(series, bound)
+    return Verdict(name, bool(np.all(slack >= 0.0)), float(np.min(slack)), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +333,15 @@ def weighted_contraction_estimate(model: ModelSpec, x, y, plan: MonteCarloPlan):
 
 
 def _weighted_contraction(model, x, y, plan, vals):
-    series = _series_from_values(plan.t_grid, _weighted_gap(vals, 4.0, 2)[0])
+    series = _series_from_values(plan.t_grid, _weighted_gap(vals, 4.0, 2))
     gap0 = float(h_norm_arr(np.asarray(x, float) - np.asarray(y, float)) ** 2)
     expo = 4.0 * model.lipschitz_c1 - 0.75 * float(
         model.basis.eigenvalues[model.coupling_n]
     )
     bound = np.exp(expo * series.t) * gap0
-    slack = _upper_slack(series, bound)
-    verdict = Verdict(
-        name="weighted_contraction",
-        passed=bool(np.all(slack >= 0.0)),
-        margin=float(np.min(slack)),
-        detail=(
-            "E[exp(-4*int ||X||^2) |X-Y|^2] - 2se <= "
-            f"exp(({expo:.6g})t)|x-y|^2 at all grid t"
-        ),
+    verdict = _upper_verdict(
+        "weighted_contraction", series, bound,
+        f"E[exp(-4*int ||X||^2) |X-Y|^2] - 2se <= exp(({expo:.6g})t)|x-y|^2 at all grid t",
     )
     return series, bound, verdict
 
@@ -361,7 +354,7 @@ def fourth_moment_estimate(model: ModelSpec, x, y, plan: MonteCarloPlan):
 
 
 def _fourth_moment(x, y, plan, vals):
-    series = _series_from_values(plan.t_grid, _weighted_gap(vals, 8.0, 4)[0])
+    series = _series_from_values(plan.t_grid, _weighted_gap(vals, 8.0, 4))
     gap0_4 = float(h_norm_arr(np.asarray(x, float) - np.asarray(y, float)) ** 4)
     if gap0_4 == 0.0:
         ratio = np.zeros_like(series.mean)  # identical starts: zero series
@@ -399,7 +392,7 @@ def exp_integrability_estimate(model: ModelSpec, x, delta: float, plan: MonteCar
 
 
 def _exp_integrability(model, delta, plan, vals):
-    series = _series_from_values(plan.t_grid, np.exp(4.0 * delta * vals["vint"][0]))
+    series = _series_from_values(plan.t_grid, np.exp(4.0 * delta * vals["vint"]))
     bound = exp_integrability_bound(model, delta, series.t)
     if not np.all(np.isfinite(series.mean)):
         verdict = Verdict(
@@ -409,12 +402,9 @@ def _exp_integrability(model, delta, plan, vals):
             detail="exponential estimate overflowed to infinity",
         )
         return series, bound, verdict
-    slack = _upper_slack(series, bound)
-    verdict = Verdict(
-        name="exp_integrability",
-        passed=bool(np.all(slack >= 0.0)),
-        margin=float(np.min(slack)),
-        detail=f"E[exp(4d*int ||X||^2)] <= bound + 2se, delta={delta:.4g}",
+    verdict = _upper_verdict(
+        "exp_integrability", series, bound,
+        f"E[exp(4d*int ||X||^2)] <= bound + 2se, delta={delta:.4g}",
     )
     return series, bound, verdict
 
@@ -434,18 +424,13 @@ def lyapunov_check(model: ModelSpec, x, plan: MonteCarloPlan):
         return hsq.now + gamma_lyap * hsq.trapz
 
     vals = _run_captured(model, plan, x, "lyapunov", {"lhs": chan}, integrals=[hsq])
-    series = _series_from_values(plan.t_grid, vals["lhs"][0])
+    series = _series_from_values(plan.t_grid, vals["lhs"])
     x_sq = float((x * x).sum())
     rhs = x_sq + k_const * series.t
-    slack = _upper_slack(series, rhs * 1.05)
-    verdict = Verdict(
-        name="lyapunov",
-        passed=bool(np.all(slack >= 0.0)),
-        margin=float(np.min(slack)),
-        detail=(
-            f"E|X(t)|^2 + lambda_1*int E|X|^2 <= |x|^2 + K t (K={k_const:.6g}) "
-            "with 5% slack + 2se"
-        ),
+    verdict = _upper_verdict(
+        "lyapunov", series, rhs * 1.05,
+        f"E|X(t)|^2 + lambda_1*int E|X|^2 <= |x|^2 + K t (K={k_const:.6g}) "
+        "with 5% slack + 2se",
     )
     return series, verdict, {"gamma": gamma_lyap, "K": k_const}
 
@@ -472,7 +457,7 @@ def feller_modulus_estimate(
         model, plan, v, _feller_starts(v, v_prime, scales), "feller_modulus",
         sup=slice(None), correction=False,
     )
-    return _feller_modulus(v, v_prime, plan, scales, vals["sup"][:, 0])
+    return _feller_modulus(v, v_prime, plan, scales, vals["sup"])
 
 
 def _feller_modulus(v, v_prime, plan, scales, sup_vals):
@@ -503,7 +488,7 @@ def coupled_distance_series(
 ) -> EstimateSeries:
     """E d(X(t), Y(t)) over the steered coupling at every grid time."""
     vals = _pair_values(model, plan, x, [y], seed_tag or "coupled_distance")
-    return _series_from_values(plan.t_grid, _distance(vals, p)[0])
+    return _series_from_values(plan.t_grid, _distance(vals, p))
 
 
 def wasserstein_upper(
@@ -526,6 +511,34 @@ def _sample_pairs(rng, n_pairs, m, center_radius, gap_lo, gap_hi):
     return xs, ys
 
 
+def _pair_upper_means(model, plan: MonteCarloPlan, xs, ys, seed_tag, p: DistanceParams):
+    """mean + 2se of d(X(t), Y(t)) over the steered pairs from every start
+    pair (xs[s], ys[s]), (S,) per grid time of plan, yielded in grid order.
+
+    plan.n_paths paths of every pair are stepped as one stacked run, one
+    grid segment at a time (run_paths resumed with step0), so a caller that
+    stops reading stops the stepping there."""
+    plan.check_model(model)
+    seed = derive_seed(plan.base_seed, seed_tag)
+    n_pairs = xs.shape[0]
+    x, y = (np.repeat(a, plan.n_paths, axis=0) for a in (xs, ys))
+    path_indices = np.arange(x.shape[0])  # path i of pair s is s * n_paths + i
+    # g2 = |X − Y|²_H per pair, path and grid time; the reductions run over
+    # the whole (S, n_paths, G) array, so each column sums in the same order
+    # whether or not the later columns are filled yet
+    g2 = np.zeros((n_pairs, plan.n_paths, plan.t_grid.size))
+    done = 0
+    for j, step in enumerate(plan.grid_steps):
+        x, y = run_paths(model, plan.cfg, x, int(step) - done, seed, path_indices,
+                         y0=y, step0=done)
+        done = int(step)
+        gap = x - y
+        g2[:, :, j] = (gap * gap).sum(axis=1).reshape(n_pairs, plan.n_paths)
+        d = d_distance_arr(np.sqrt(g2), p)
+        se = d.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)
+        yield (d.mean(axis=1) + 2.0 * se)[:, j]
+
+
 def contraction_check(
     model: ModelSpec,
     plan: MonteCarloPlan,
@@ -535,9 +548,8 @@ def contraction_check(
     """Find the smallest grid time t0 at which the coupled-pair distance
     ratio (mean + 2se)/d(x,y) is ≤ 2/3 for every sampled pair with d < 1.
 
-    The pairs are stepped as one stacked run, one grid segment at a time
-    (run_paths resumed with step0), and stepping stops at t0: a path that
-    would only diverge after t0 is never stepped there.
+    Stepping stops at t0: a path that would only diverge after t0 is never
+    stepped there.
 
     Returns (verdict, t0 or None, alpha) where alpha is the worst ratio at t0.
     """
@@ -545,48 +557,29 @@ def contraction_check(
     if grid.size == 0:
         raise ValidationError("t0 search grid needs positive times")
     rng = np.random.default_rng(derive_seed(plan.base_seed, "contraction_pairs"))
-    m = model.dim
-    xs, ys = _sample_pairs(rng, n_pairs, m, 0.3, 0.1, 0.6)
+    xs, ys = _sample_pairs(rng, n_pairs, model.dim, 0.3, 0.1, 0.6)
     d0 = d_distance_arr(h_norm_arr(xs - ys), p)
     if np.any(d0 >= 1.0) or np.any(d0 <= 0.0):
         raise ValidationError("sampled pairs must have 0 < d(x,y) < 1")
 
     sub = replace(plan, t_grid=grid)
-    plan.check_model(model)
-    seed = derive_seed(plan.base_seed, "contraction_check")
-    x, y = (np.repeat(a, plan.n_paths, axis=0) for a in (xs, ys))
-    path_indices = np.arange(x.shape[0])  # path i of pair s is s * n_paths + i
-    # g2 = |X − Y|²_H per pair, path and grid time; the reductions run over
-    # the whole (S, n_paths, G) array, so each column sums in the same order
-    # whether or not the later columns are filled yet
-    g2 = np.zeros((n_pairs, plan.n_paths, grid.size))
-    done = 0
-    for j, step in enumerate(sub.grid_steps):
-        x, y = run_paths(model, plan.cfg, x, int(step) - done, seed, path_indices,
-                         y0=y, step0=done)
-        done = int(step)
-        gap = x - y
-        g2[:, :, j] = (gap * gap).sum(axis=1).reshape(n_pairs, plan.n_paths)
-        d = d_distance_arr(np.sqrt(g2), p)
-        se = d.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)
-        ratios = (d.mean(axis=1) + 2.0 * se) / d0[:, None]
-        worst = ratios.max(axis=0)  # per grid time
-        if worst[j] <= 2.0 / 3.0:
-            t0, alpha = float(grid[j]), float(worst[j])
+    for t, upper in zip(grid, _pair_upper_means(model, sub, xs, ys, "contraction_check", p)):
+        worst = float((upper / d0).max())
+        if worst <= 2.0 / 3.0:
             verdict = Verdict(
                 name="contraction",
                 passed=True,
-                margin=float(2.0 / 3.0 - alpha),
-                detail=f"(mean+2se)/d <= 2/3 for all {n_pairs} pairs at t0={t0:.4g}",
+                margin=float(2.0 / 3.0 - worst),
+                detail=f"(mean+2se)/d <= 2/3 for all {n_pairs} pairs at t0={t:.4g}",
             )
-            return verdict, t0, alpha
+            return verdict, float(t), worst
     verdict = Verdict(
         name="contraction",
         passed=False,
-        margin=float(2.0 / 3.0 - worst[-1]),
-        detail=f"no grid t0 reached ratio 2/3; ratio at t={grid[-1]:.4g} is {worst[-1]:.4g}",
+        margin=float(2.0 / 3.0 - worst),
+        detail=f"no grid t0 reached ratio 2/3; ratio at t={grid[-1]:.4g} is {worst:.4g}",
     )
-    return verdict, None, float(worst[-1])
+    return verdict, None, worst
 
 
 def d_small_check(
@@ -607,9 +600,8 @@ def d_small_check(
     xs = sample_ball(rng, n_pairs, m, radius=radius)
     ys = sample_ball(rng, n_pairs, m, radius=radius)
     sub = replace(plan, t_grid=np.array([t]))
-    d = _distance(_pair_values(model, sub, xs, [ys], "d_small_check"), p)
-    sup = float(np.max(d.mean(axis=1) + 2.0 * d.std(axis=1, ddof=1) / np.sqrt(plan.n_paths)))
-    eps = 1.0 - sup
+    (upper,) = _pair_upper_means(model, sub, xs, ys, "d_small_check", p)
+    eps = 1.0 - float(np.max(upper))
     verdict = Verdict(
         name="d_small",
         passed=bool(eps >= 0.05),
@@ -862,13 +854,10 @@ def fit_exponential_rate(series: EstimateSeries) -> RateFit:
     ss_res = float((resid * resid).sum())
     ss_tot = float(((ym - ym.mean()) ** 2).sum())
     r_sq = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
-    if n > 2:
-        s2 = ss_res / (n - 2)
-        txx = float(((t - t.mean()) ** 2).sum())
-        slope_se = float(np.sqrt(s2 / max(txx, 1e-300)))
-        inter_se = float(np.sqrt(s2 * (1.0 / n + t.mean() ** 2 / max(txx, 1e-300))))
-    else:
-        slope_se = inter_se = float("nan")
+    s2 = ss_res / (n - 2)
+    txx = float(((t - t.mean()) ** 2).sum())
+    slope_se = float(np.sqrt(s2 / max(txx, 1e-300)))
+    inter_se = float(np.sqrt(s2 * (1.0 / n + t.mean() ** 2 / max(txx, 1e-300))))
     return RateFit(
         rate=-slope,
         prefactor=float(np.exp(intercept)),
@@ -895,10 +884,6 @@ class ErgodicityReport:
     delta_exponent: float
     shift_cost_mean: float
     notes: tuple = ()
-
-    @property
-    def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
 
 
 def run_ergodicity_battery(
@@ -961,7 +946,7 @@ def run_ergodicity_battery(
     verdicts.append(v)
     series_out["lyapunov"] = (lseries, None)
 
-    _, v = _feller_modulus(x, y, plan, FELLER_SCALES, steered["sup"][:, 0])
+    _, v = _feller_modulus(x, y, plan, FELLER_SCALES, steered["sup"])
     verdicts.append(v)
 
     v, t0, alpha = contraction_check(model, plan, dist)
@@ -993,7 +978,7 @@ def run_ergodicity_battery(
             )
         )
 
-    dseries = _series_from_values(plan.t_grid, _distance(steered, dist)[0])
+    dseries = _series_from_values(plan.t_grid, _distance(steered, dist))
     series_out["coupled_distance"] = (dseries, None)
     try:
         fit = fit_exponential_rate(dseries)

@@ -191,8 +191,8 @@ def validate_h1(
     """Spectral-gap report for a model at coupling level N.
 
     The model supplies the declared constants (C_1, |f(0)|_{V*}, |σ(0)|_{HS},
-    γ) and its noise map; the noise map's diagonal floor on modes 1..N is
-    checked when the map exposes one.
+    γ) and its noise map, whose `pseudo_inverse_floor` says whether σ is
+    invertible on modes 1..N.
     """
     basis = model.basis
     if n is None:
@@ -211,8 +211,7 @@ def validate_h1(
     else:
         raise ValidationError(f"unknown spectral-gap variant {variant!r}")
 
-    floor = getattr(model.noise, "pseudo_inverse_floor", lambda _n: None)(n)
-    pinv_ok = floor is not None and floor > 0.0
+    pinv_ok = model.noise.pseudo_inverse_floor(n) is not None
     return H1Report(
         threshold=threshold,
         lambda_next=lam_next,

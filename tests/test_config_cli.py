@@ -95,6 +95,34 @@ def test_coupling_must_be_below_dim():
         parse_config_text(bad)
 
 
+def test_line_without_equals_is_config_error_with_line(tmp_path, capsys):
+    cfg = _write(tmp_path, "[stepper]\ndt 1e-3\n")
+    assert main(["verify-model", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: line 2: expected key=value, got 'dt 1e-3'\n"
+
+
+def test_eigenvalue_list_and_zero_form_build_the_named_model():
+    # [basis] eigenvalues, [bilinear] kind = zero and one equal [noise] s on
+    # every mode (the parts of a Gibbs-type model) build the model that
+    # build_model makes from the same parts
+    import numpy as np
+
+    from see_lab.coefficients import build_model, diag_affine_noise, linear_decay_drift, zero_form
+    from see_lab.spectral import SpectralBasis
+
+    text = ("[model]\nc1 = 0\ncoupling_n = 2\n[basis]\neigenvalues = 1,4,9,16,25\n"
+            "[bilinear]\nkind = zero\n[noise]\ns = 0.5,0.5,0.5,0.5,0.5\n")
+    model = build_model_from_config(parse_config_text(text))
+    lam = np.array([1.0, 4.0, 9.0, 16.0, 25.0])
+    same = build_model(
+        basis=SpectralBasis(lam), drift=linear_decay_drift(0.3), bilinear=zero_form(),
+        noise=diag_affine_noise(np.full(5, 0.5), c_min=0.5), lipschitz_c1=0.0, coupling_n=2,
+    )
+    assert model.model_id == same.model_id
+    assert np.array_equal(model.basis.eigenvalues, lam)
+    assert model.bilinear.kind == "zero" and model.noise.c_min == 0.5
+
+
 def test_duplicate_key_reports_both_lines():
     bad = "[stepper]\ndt = 1e-3\ndt = 1e-2\n"
     with pytest.raises(ConfigError) as err:
@@ -290,6 +318,22 @@ def test_cli_simulate_writes_paths_and_manifest(tmp_path):
     assert sum(n.startswith("path_") for n in names) == 3
     manifest = open(os.path.join(out, "manifest.txt")).read()
     assert "ball_invariance" in manifest and "PASS" in manifest
+
+
+def test_cli_simulate_penalized_allows_the_penalty_overshoot(tmp_path):
+    # the penalized scheme may leave the ball by about 1/(dt n): from x0 on
+    # the sphere max |X|_H exceeds 1 and still passes 1 + 1/(1e-3 * 4000)
+    text = ("[plan]\nn_paths = 4\nx0 = 1,0,0,0,0,0,0,0\n[basis]\nm = 8\n[noise]\nsigma0 = 2\n"
+            "[stepper]\nt = 0.05\nscheme = penalized\npenalty_n = 4000\n")
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    (line,) = [ln for ln in (out / "manifest.txt").read_text().splitlines()
+               if "ball_invariance" in ln]
+    prefix = "  [PASS] ball_invariance: max |X|_H = "
+    assert line.startswith(prefix) and line.endswith(" <= 1 + 0.25 (penalty heuristic)")
+    max_h = float(line[len(prefix):].split(" ", 1)[0])
+    assert 1.0 < max_h <= 1.25
 
 
 def test_cli_simulate_seed_rerun_identical(tmp_path):
@@ -561,15 +605,16 @@ def test_couple_on_an_h1_failing_model_prints_one_warning_line(tmp_path):
 
 
 def test_couple_without_a_pseudo_inverse_fails_before_stepping(tmp_path, monkeypatch):
-    # coupling_n = 0 leaves no coupled mode to invert: one `error:` line,
-    # no warning of either kind, exit 1, and no path stepped or written
+    # c_min = 0 declares no floor on the coupled mode, so σ has no
+    # pseudo-inverse there: one `error:` line, no warning of either kind,
+    # exit 1, and no path stepped or written
     import see_lab.cli as cli
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    cfg = _write(tmp_path, "[model]\ncoupling_n = 0\n[basis]\nm = 4\n[stepper]\nt = 0.02\n"
-                           "[plan]\nn_paths = 2\n")
+    cfg = _write(tmp_path, "[model]\ncoupling_n = 1\n[basis]\nm = 4\n[noise]\nc_min = 0\n"
+                           "[stepper]\nt = 0.02\n[plan]\nn_paths = 2\n")
     done = subprocess.run(
         [sys.executable, "-m", "see_lab", "couple", "--config", cfg,
          "--out", str(tmp_path / "o")],
@@ -680,3 +725,33 @@ def test_zero_coupled_modes_build():
     # the NSE builder
     model = build_model_from_config(parse_config_text("[model]\ncoupling_n = 0\n"))
     assert model.coupling_n == 0 and model.noise.c_min == 0.0
+
+
+ZERO_COUPLED_MODES = "[model]\ncoupling_n = 0\n[basis]\nm = 4\nscale = 16\n[stepper]\nt = 0.02\n" \
+                     "[plan]\nn_paths = 2\n"
+
+
+def test_zero_coupled_modes_pass_h1(tmp_path):
+    # with N = 0 there is nothing to invert, so σ counts as invertible on the
+    # (empty) coupled modes and H1 rests on λ_1 = 16 alone
+    cfg = _write(tmp_path, ZERO_COUPLED_MODES)
+    out = tmp_path / "v"
+    assert main(["verify-model", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "verify_model.txt").read_text().splitlines()
+    assert "[PASS] h1_spectral_gap: lambda_(N+1)=16 > generic threshold 8.02667 and noise " \
+           "invertible on coupled modes: True" in lines
+
+
+def test_zero_coupled_modes_couple_at_zero_shift_cost(tmp_path):
+    # β is empty at N = 0: the shift bound holds with C = 0 and no shift
+    # cost accrues
+    cfg = _write(tmp_path, ZERO_COUPLED_MODES)
+    out = tmp_path / "o"
+    assert main(["couple", "--config", cfg, "--out", str(out)]) == 0
+    assert "  [PASS] shift_bound: " in (out / "manifest.txt").read_text()
+    paths = sorted(out.glob("coupled_*.csv"))
+    assert len(paths) == 2
+    for path in paths:
+        rows = path.read_text().splitlines()
+        assert rows[0].endswith(",shift_cost_cum")
+        assert {r.rsplit(",", 1)[1] for r in rows[1:]} == {"0.0"}

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from see_lab.coupling import (
 )
 from see_lab.dynamics import StepperConfig
 from see_lab.errors import ValidationError
-from see_lab.spectral import h_norm_arr, quadratic_basis
+from see_lab.spectral import h_norm_arr, quadratic_basis, validate_h1
 
 
 def _linear_model(m=6, n=2, s_level=0.01):
@@ -136,6 +137,33 @@ def test_shift_needs_pseudo_inverse():
     model = _linear_model(s_level=0.0)
     with pytest.raises(ValidationError):
         girsanov_shift(model, np.zeros(6), np.zeros(6))
+
+
+def test_declared_zero_floor_is_no_pseudo_inverse():
+    # a custom noise map that declares the floor 0 has no pseudo-inverse:
+    # H1 reads it as not invertible, and the shift-bound constant is a
+    # ValidationError rather than a division by zero
+    from see_lab.coefficients import NoiseMap
+
+    hooked = NoiseMap(kind="custom", diag_fn=lambda u: 0.2 + 0.0 * u, pinv_floor=0.0)
+    model = build_model(basis=quadratic_basis(6), drift=linear_decay_drift(0.0),
+                        bilinear=zero_form(), noise=hooked, lipschitz_c1=0.0, coupling_n=2)
+    assert hooked.pseudo_inverse_floor(2) is None
+    assert not validate_h1(model).pinv_ok
+    with pytest.raises(ValidationError, match="no pseudo-inverse"):
+        shift_bound_constant(model)
+
+
+def test_zero_coupled_modes_have_an_empty_shift():
+    # N = 0: nothing to invert, so the floor is inf, β is empty and the
+    # shift-bound constant is 0
+    model = _linear_model(n=0, s_level=0.0)
+    assert model.noise.pseudo_inverse_floor(0) == math.inf
+    assert validate_h1(model).pinv_ok
+    assert shift_bound_constant(model) == 0.0
+    x, y = np.zeros(6), np.zeros(6)
+    x[0], y[1] = 0.5, -0.3
+    assert np.array_equal(girsanov_shift(model, x, y), np.zeros(6))
 
 
 # coupled simulation ----------------------------------------------------

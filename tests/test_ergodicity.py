@@ -224,7 +224,7 @@ def test_exp_integrability_verdict_and_csv_share_one_rule(tmp_path):
     b = erg.exp_integrability_bound(model, delta, plan.t_grid)
     z = np.stack([b[0] * np.array([0.9, 1.2, 1.8, 2.1]),
                   b[1] * np.array([1.9, 2.0, 2.1, 2.0])], axis=1)
-    vals = {"vint": np.log(z)[None] / (4.0 * delta)}
+    vals = {"vint": np.log(z) / (4.0 * delta)}
     series, bound, verdict = erg._exp_integrability(model, delta, plan, vals)
     slack = bound + 2.0 * series.stderr - series.mean
     assert series.mean[0] > bound[0] and slack[0] >= 0.0 and slack[1] < 0.0
@@ -234,6 +234,25 @@ def test_exp_integrability_verdict_and_csv_share_one_rule(tmp_path):
     assert not verdict.passed
     assert verdict.margin == float(slack.min())
     assert verdict.detail.startswith("E[exp(4d*int ||X||^2)] <= bound + 2se")
+
+
+def test_exp_integrability_overflow_fails_with_infinite_margin():
+    # an exponential that overflows poisons its mean to infinity, and the
+    # verdict fails with margin -inf instead of comparing inf with the bound
+    import see_lab.ergodicity as erg
+
+    model = benchmark_model()
+    plan = _plan(n_paths=4, grid=(0.05, 0.1))
+    delta = 0.25
+    vint = np.full((4, 2), 0.01)
+    vint[2, 1] = 800.0 / (4.0 * delta)  # exp(800) overflows
+    with np.errstate(over="ignore"):
+        series, bound, verdict = erg._exp_integrability(model, delta, plan, {"vint": vint})
+    assert np.isfinite(series.mean[0]) and series.mean[1] == np.inf
+    assert list(series.n_effective) == [4, 3]
+    assert (verdict.name, verdict.passed, verdict.margin, verdict.detail) == (
+        "exp_integrability", False, float("-inf"), "exponential estimate overflowed to infinity")
+    assert np.array_equal(bound, erg.exp_integrability_bound(model, delta, plan.t_grid))
 
 
 def test_exp_integrability_rejects_bad_delta():
@@ -820,7 +839,7 @@ def test_battery_exp_integrability_reads_the_run_from_x():
     vals = erg._run_captured(model, plan, _e(model.dim, 0, 0.5), "steered_pair",
                              {"vint": lambda rt: vsq.trapz}, integrals=[vsq])
     delta = select_delta(model)[0]
-    alone = erg._series_from_values(plan.t_grid, np.exp(4.0 * delta * vals["vint"][0]))
+    alone = erg._series_from_values(plan.t_grid, np.exp(4.0 * delta * vals["vint"]))
     got, bound = series["exp_integrability"]
     assert np.array_equal(got.mean, alone.mean)
     assert np.array_equal(got.stderr, alone.stderr)

@@ -1,7 +1,9 @@
 """Golden SHA-256 digests of the noise stream, of one trajectory per
 built-in model kind, of steered coupled runs, of the standalone estimators,
 of a small estimator battery, and of the `see-lab simulate` and `see-lab
-couple` output trees.
+couple` output trees; and the run_paths calls of the sampled-pair checks,
+which the benchmark's split of the battery into single and coupled runs
+counts.
 
 A change that keeps results bit-identical leaves every digest here as it is.
 A change that moves any bit of a pinned output must update its digest and
@@ -282,6 +284,63 @@ def test_contraction_stop_digest():
             verdict, t0, alpha = contraction_check(model, plan, dist)
         h.update(repr((name, scheme, verdict, t0, alpha)).encode())
     assert h.hexdigest() == CONTRACTION_STOP_SHA256
+
+
+def _run_paths_calls(monkeypatch):
+    """Log (n_steps, step0, coupled, n_recorders) of every run_paths call
+    the ergodicity module makes, with no timing."""
+    import see_lab.ergodicity as erg
+
+    calls = []
+    inner = erg.run_paths
+
+    def counted(model, cfg, x0, n_steps, seed, path_indices, recorders=(), y0=None,
+                correction=True, step0=0):
+        calls.append((n_steps, step0, y0 is not None, len(recorders)))
+        return inner(model, cfg, x0, n_steps, seed, path_indices, recorders, y0, correction,
+                     step0)
+
+    monkeypatch.setattr(erg, "run_paths", counted)
+    return calls
+
+
+def test_contraction_stop_cases_step_once_per_segment(monkeypatch):
+    # the battery's split into single and coupled runs counts these calls:
+    # contraction_check makes one coupled call per grid segment up to t0
+    # (1 when it stops at the first grid time, k at the k-th, G when it
+    # never stops), resumed where the last one ended
+    from see_lab.coupling import DistanceParams, select_delta
+    from see_lab.ergodicity import MonteCarloPlan, contraction_check
+
+    calls, counts = _run_paths_calls(monkeypatch), []
+    for name, scheme, spacing in CONTRACTION_STOP_CASES:
+        model, _ = _golden_case(name)
+        grid = np.arange(1, 11) * spacing
+        plan = MonteCarloPlan(n_paths=20, t_grid=grid, base_seed=3,
+                              cfg=StepperConfig(dt=1e-3, scheme=scheme))
+        dist = DistanceParams(n_tilde=1.0, delta=select_delta(model)[0])
+        calls.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, t0, _ = contraction_check(model, plan, dist)
+        k = grid.size if t0 is None else int(np.flatnonzero(grid == t0)[0]) + 1
+        steps = plan.grid_steps[:k]
+        assert calls == [(int(b - a), int(a), True, 0)
+                         for a, b in zip(np.concatenate([[0], steps[:-1]]), steps)]
+        counts.append(len(calls))
+    assert counts == [1, 1, 6, 10]
+
+
+def test_d_small_check_steps_once(monkeypatch):
+    # one coupled call to the check time, with no recorders
+    from see_lab.coupling import DistanceParams
+    from see_lab.ergodicity import MonteCarloPlan, d_small_check
+
+    plan = MonteCarloPlan(n_paths=4, t_grid=np.array([0.01, 0.02]), base_seed=3,
+                          cfg=StepperConfig(dt=1e-3))
+    calls = _run_paths_calls(monkeypatch)
+    d_small_check(benchmark_model(), plan, DistanceParams(1.0, 0.5), m_level=1.0, t=0.015)
+    assert calls == [(15, 0, True, 0)]
 
 
 # occupation_sampler's one-chain run (snapshots, both batch-means se arrays
